@@ -45,16 +45,15 @@ class MixWeights:
         return {"extr": self.w_extr, "g": self.w_g, "nov": self.w_nov}
 
 
-def mix_rewards(r_extr, r_g, r_nov, w: MixWeights):
-    """Weighted stream sum r = w_extr*r_extr + w_g*r_g + w_nov*r_nov."""
-    return w.w_extr * np.asarray(r_extr) + w.w_g * np.asarray(r_g) + w.w_nov * np.asarray(r_nov)
-
-
 def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
-    """Cosine-max similarity (g . h) / max(|g|, |h|); 0 when both are zero."""
+    """Cosine-max similarity (g . h) / max(|g|, |h|) over the trailing axis.
+
+    0 where both are zero. Leading axes broadcast, e.g. one goal (d,) against
+    states (N, H+1, d) gives (N, H+1); only the trailing widths must match.
+    """
     g_dec = np.asarray(g_dec, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if g_dec.shape != h.shape:
+    if g_dec.shape[-1:] != h.shape[-1:]:
         raise ValueError(f"subgoal_reward: widths differ, {g_dec.shape} vs {h.shape}")
     num = (g_dec * h).sum(axis=-1)
     den = np.maximum(np.linalg.norm(g_dec, axis=-1), np.linalg.norm(h, axis=-1))
@@ -384,7 +383,7 @@ class Subactor:
             feats[:, t] = self._features(
                 traj["h"][:, t], traj["z"][:, t], goal_vec, traj["reward"][:, t], traj["cont"][:, t], traj["entropy"][:, t]
             )
-        r_g = subgoal_reward(np.broadcast_to(goal_dec, traj["h"][:, 0].shape), traj["h"].transpose(1, 0, 2)).T
+        r_g = subgoal_reward(goal_dec, traj["h"])
         nov = np.stack(
             [self.ae.novelty(traj["h"][:, t], rng) for t in range(hp1)], axis=1
         )
@@ -548,8 +547,7 @@ def build_agent(
     action_groups, action_classes = 1, env_n_actions
     for i in range(depth):
         wm_cfg = WmConfig(obs_dim=obs_dim, action_dim=action_dim, **wm_kwargs)
-        wm_probe = WorldModel(make_rng(0), wm_cfg)  # width probe only
-        h_width = wm_probe.h_width
+        h_width = wm_cfg.h_width
         sg_cfg = SubgoalConfig(h_width=h_width, **sg_kwargs)
         goal_width = sg_cfg.flat if goal_repr == "encoded" else h_width
         feat_width = h_width + wm_cfg.z_flat + goal_width + 3

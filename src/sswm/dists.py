@@ -27,22 +27,6 @@ def symexp_np(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * (np.exp(np.abs(x)) - 1.0)
 
 
-def symlog(x: Tensor) -> Tensor:
-    """sign(x) * log(1 + |x|), differentiable with d/dx = 1/(1+|x|)."""
-    sign = np.where(x.data >= 0.0, 1.0, -1.0)
-    s = Tensor(sign)
-    return mul(s, log(add(mul(s, x), Tensor(1.0))))
-
-
-def symexp(x: Tensor) -> Tensor:
-    """Inverse of symlog."""
-    sign = np.where(x.data >= 0.0, 1.0, -1.0)
-    s = Tensor(sign)
-    from .tensor import exp as texp
-
-    return mul(s, add(texp(mul(s, x)), Tensor(-1.0)))
-
-
 def unimix_probs(logits: Tensor, unimix: float) -> Tensor:
     """Softmax over the trailing axis mixed with a uniform floor."""
     p = softmax(logits, axis=-1)

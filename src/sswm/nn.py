@@ -1,14 +1,14 @@
 """Small neural-net building blocks (linear layers, MLPs, layer norm, AdamW).
 
 Parameters are plain Tensors collected into flat name->Tensor dicts so the
-optimizer and checkpoint code never need to know the module structure.
+optimizer never needs to know the module structure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, exp, gelu, log, matmul, mul, neg, tanh, tmean, tsum
+from .tensor import Tensor, add, exp, gelu, log, matmul, mul, neg, tmean
 
 
 class Linear:
@@ -27,17 +27,16 @@ class Linear:
 
 
 class MLP:
-    """Stack of Linear layers with a pointwise activation between them."""
+    """Stack of Linear layers with GELU between them."""
 
-    def __init__(self, rng, sizes: list[int], act: str = "gelu"):
+    def __init__(self, rng, sizes: list[int]):
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
         self.layers = [Linear(rng, sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
-        self.act = {"gelu": gelu, "tanh": tanh}[act]
 
     def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers[:-1]:
-            x = self.act(layer(x))
+            x = gelu(layer(x))
         return self.layers[-1](x)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -120,8 +119,3 @@ class AdamW:
             p.data -= self.lr * update
             p.grad = None
         return norm
-
-
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None

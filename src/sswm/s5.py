@@ -6,10 +6,12 @@ by zero-order hold with a learned per-state timescale. Episode boundaries reset
 the state to its initial value (zero) by gating the decay term, so training
 sequences may span episodes without leaking history across them.
 
-Two execution modes are provided with identical results: a sequential scan
-(the autodiff/BPTT path) and a parallel associative scan (forward-only fast
-path). Blocks follow pre-norm -> scan -> GELU -> residual, and the stacked
-internal states double as the deterministic part of a world-model state.
+The recurrence has one implementation, a sequential scan with an analytic
+adjoint (tensor.linear_recurrence). Training runs it over whole windows from
+the zero state; online stepping runs the same scan over one step, resumed
+from the carried state. Blocks follow pre-norm -> scan -> GELU -> residual,
+and the stacked internal states double as the deterministic part of a
+world-model state.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .nn import LayerNorm
 from .tensor import (
     Tensor,
+    _pair,
     add,
     complex_exp,
     complex_mul,
@@ -156,17 +159,11 @@ def hippo_n_init(
     b = np.concatenate(b_cols, axis=0)  # (P, H) complex
     c = np.concatenate(c_cols, axis=1)  # (H, P) complex
 
-    def pairs(z: np.ndarray) -> np.ndarray:
-        out = np.empty(z.shape + (2,), dtype=np.float64)
-        out[..., 0] = z.real
-        out[..., 1] = z.imag
-        return out
-
     return S5Params(
         log_neg_re=Tensor(log_neg_re, requires_grad=True),
         im=Tensor(im, requires_grad=True),
-        b_mat=Tensor(pairs(b), requires_grad=True),
-        c_mat=Tensor(pairs(c), requires_grad=True),
+        b_mat=Tensor(_pair(b), requires_grad=True),
+        c_mat=Tensor(_pair(c), requires_grad=True),
         d_vec=Tensor(rng.normal(0.0, 1.0, size=width), requires_grad=True),
         log_delta=Tensor(rng.uniform(np.log(1e-3), np.log(1e-1), size=state_dim), requires_grad=True),
     )
@@ -203,126 +200,57 @@ def _as_batched(u, resets):
 
 
 def _drive(u: Tensor, b_bar: Tensor) -> Tensor:
-    """Input drive b_bar @ u_t for all steps at once: (B,T,H) -> (B,T,P,2)."""
+    """Input drive b_bar @ u_t for all steps at once: (B,T,H) -> (B,T,P,2).
+
+    b_bar (P,H,2) is laid out as one real (H, 2P) matrix whose columns
+    interleave (re, im) per state, the layout of the (P, 2) pair axis.
+    """
     bsz, t, h = u.shape
     p = b_bar.shape[0]
-    u2 = reshape(u, (bsz * t, h))
-    dre = matmul(u2, transpose(tslice(b_bar, (slice(None), slice(None), 0)), (1, 0)))
-    dim = matmul(u2, transpose(tslice(b_bar, (slice(None), slice(None), 1)), (1, 0)))
-    pair = concat([reshape(dre, (bsz * t, p, 1)), reshape(dim, (bsz * t, p, 1))], axis=2)
-    return reshape(pair, (bsz, t, p, 2))
+    b_real = reshape(transpose(b_bar, (1, 0, 2)), (h, 2 * p))
+    return reshape(matmul(reshape(u, (bsz * t, h)), b_real), (bsz, t, p, 2))
 
 
 def _readout(x: Tensor, u: Tensor, params: S5Params) -> Tensor:
-    """y_t = Re(C x_t) + D u_t."""
+    """y_t = Re(C x_t) + D u_t, as one real matmul over interleaved (re, im) rows."""
     bsz, t, p, _ = x.shape
     h = params.width
-    xre = reshape(tslice(x, (slice(None), slice(None), slice(None), 0)), (bsz * t, p))
-    xim = reshape(tslice(x, (slice(None), slice(None), slice(None), 1)), (bsz * t, p))
-    cre = transpose(tslice(params.c_mat, (slice(None), slice(None), 0)), (1, 0))
-    cim = transpose(tslice(params.c_mat, (slice(None), slice(None), 1)), (1, 0))
-    y = add(matmul(xre, cre), neg(matmul(xim, cim)))
+    c_real = reshape(transpose(mul(params.c_mat, Tensor(np.array([1.0, -1.0]))), (1, 2, 0)), (2 * p, h))
+    y = matmul(reshape(x, (bsz * t, 2 * p)), c_real)
     y = add(y, mul(reshape(u, (bsz * t, h)), params.d_vec))
     return reshape(y, (bsz, t, h))
 
 
-def scan_sequential(params: S5Params, u: Tensor, resets) -> tuple[Tensor, Tensor]:
-    """Recurrent scan (autodiff path). u: (T,H) or (B,T,H); resets: bool per step.
+def scan_sequential(
+    params: S5Params,
+    u: Tensor,
+    resets,
+    discretized: tuple[Tensor, Tensor] | None = None,
+    x0: Tensor | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Recurrent scan. u: (T,H) or (B,T,H); resets: bool per step.
 
     Returns internal states x ((B,)T,P,2) and outputs y ((B,)T,H). A reset at
-    step t zeroes the carried state before that step's update.
+    step t zeroes the carried state before that step's update. The scan starts
+    from x0 (B,P,2) when given (batched u only), else from zero; discretized
+    is a precomputed discretize(params), recomputed when None.
     """
     u, resets, squeeze = _as_batched(u, resets)
-    lam_bar, b_bar = discretize(params)
+    lam_bar, b_bar = discretize(params) if discretized is None else discretized
     gates = 1.0 - resets.astype(np.float64)
-    x = linear_recurrence(lam_bar, _drive(u, b_bar), gates)
+    x = linear_recurrence(lam_bar, _drive(u, b_bar), gates, x0)
     y = _readout(x, u, params)
     if squeeze:
         return reshape(x, x.shape[1:]), reshape(y, y.shape[1:])
     return x, y
 
 
-def scan_parallel(params: S5Params, u: Tensor, resets) -> tuple[Tensor, Tensor]:
-    """Associative-scan evaluation; identical contract to scan_sequential.
-
-    Combine rule over (decay, accumulated drive) elements:
-    (a1, b1) o (a2, b2) = (a2*a1, a2*b1 + b2), with reset steps contributing
-    decay 0. Uses a fixed log2(T)-round doubling schedule, so the result does
-    not depend on any worker partitioning. Forward-only: gradients do not flow
-    through this path.
-    """
-    u, resets, squeeze = _as_batched(u, resets)
-    with_no_grad_u = Tensor(u.data)
-    lam_bar, b_bar = discretize(params)
-    bsz, t, _ = u.shape
-    p = params.state_dim
-    lamc = lam_bar.data[..., 0] + 1j * lam_bar.data[..., 1]
-    drive = _drive(with_no_grad_u, Tensor(b_bar.data)).data
-    a = np.broadcast_to(lamc, (bsz, t, p)).copy()
-    a[resets] = 0.0
-    b = drive[..., 0] + 1j * drive[..., 1]
-    stride = 1
-    while stride < t:
-        a_prev = a[:, :-stride]
-        b_prev = b[:, :-stride]
-        a_cur = a[:, stride:]
-        new_a = a.copy()
-        new_b = b.copy()
-        new_a[:, stride:] = a_cur * a_prev
-        new_b[:, stride:] = a_cur * b_prev + b[:, stride:]
-        a, b = new_a, new_b
-        stride *= 2
-    x = np.stack([b.real, b.imag], axis=-1)
-    xt = Tensor(x)
-    y = _readout(xt, with_no_grad_u, params)
-    yt = Tensor(y.data)
-    if squeeze:
-        return Tensor(x[0]), Tensor(yt.data[0])
-    return xt, yt
-
-
-@dataclass
-class ScanElement:
-    """(decay, drive) element of the associative scan monoid."""
-
-    a_coef: np.ndarray
-    b_accum: np.ndarray
-
-    def combine(self, later: "ScanElement") -> "ScanElement":
-        return ScanElement(later.a_coef * self.a_coef, later.a_coef * self.b_accum + later.b_accum)
-
-
-def s5_step(
-    params: S5Params,
-    lam_bar: Tensor,
-    b_bar: Tensor,
-    x_prev: Tensor,
-    u: Tensor,
-    reset: np.ndarray,
-) -> tuple[Tensor, Tensor]:
-    """One recurrence step for online use. x_prev: (B,P,2), u: (B,H), reset: (B,) bool."""
-    bsz, h = u.shape
-    p = params.state_dim
-    gate = Tensor((1.0 - np.asarray(reset, dtype=np.float64)).reshape(bsz, 1, 1))
-    dre = matmul(u, transpose(tslice(b_bar, (slice(None), slice(None), 0)), (1, 0)))
-    dim = matmul(u, transpose(tslice(b_bar, (slice(None), slice(None), 1)), (1, 0)))
-    drive = concat([reshape(dre, (bsz, p, 1)), reshape(dim, (bsz, p, 1))], axis=2)
-    x = add(mul(complex_mul(lam_bar, x_prev), gate), drive)
-    xre = tslice(x, (slice(None), slice(None), 0))
-    xim = tslice(x, (slice(None), slice(None), 1))
-    cre = transpose(tslice(params.c_mat, (slice(None), slice(None), 0)), (1, 0))
-    cim = transpose(tslice(params.c_mat, (slice(None), slice(None), 1)), (1, 0))
-    y = add(add(matmul(xre, cre), neg(matmul(xim, cim))), mul(u, params.d_vec))
-    return x, y
-
-
 class S5Block:
     """Pre-norm S5 layer with GELU nonlinearity and a residual connection."""
 
-    def __init__(self, rng, width: int, state_dim: int, init_blocks: int, bc_init: str = "eigen", dropout_p: float = 0.0):
+    def __init__(self, rng, width: int, state_dim: int, init_blocks: int, bc_init: str = "eigen"):
         self.s5 = hippo_n_init(state_dim, init_blocks, width, rng, bc_init=bc_init)
         self.norm = LayerNorm(width)
-        self.dropout_p = dropout_p
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = self.s5.params(f"{prefix}.s5")
@@ -369,33 +297,33 @@ class S5Stack:
             out.update(blk.params(f"{prefix}.b{i}"))
         return out
 
-    def forward(self, u: Tensor, resets, mode: str = "sequential") -> tuple[Tensor, Tensor]:
-        """Full-sequence pass. Returns (m, h): outputs and deterministic states."""
-        u, resets, squeeze = _as_batched(u, resets)
-        scan = scan_sequential if mode == "sequential" else scan_parallel
+    def _run(self, u: Tensor, resets: np.ndarray, discretized, x0s) -> tuple[Tensor, Tensor]:
+        """Every block over (B,T,H) inputs from per-block start states x0s.
+
+        Returns the last block's outputs m and the packed states: per block
+        [Re x_t | Im x_t], concatenated over blocks into (B, T, n_blocks*2P).
+        """
         bsz, t, _ = u.shape
         h_parts = []
-        for blk in self.blocks:
+        for blk, disc, x0 in zip(self.blocks, discretized, x0s):
             v = blk.norm(reshape(u, (bsz * t, self.width)))
-            x, y = scan(blk.s5, reshape(v, (bsz, t, self.width)), resets)
+            x, y = scan_sequential(blk.s5, reshape(v, (bsz, t, self.width)), resets, disc, x0)
             u = add(u, reshape(gelu(reshape(y, (bsz * t, self.width))), (bsz, t, self.width)))
-            h_parts.append(
-                concat(
-                    [
-                        tslice(x, (slice(None), slice(None), slice(None), 0)),
-                        tslice(x, (slice(None), slice(None), slice(None), 1)),
-                    ],
-                    axis=2,
-                )
-            )
-        m = u
-        h = m if self.h_mode == "output" else concat(h_parts, axis=2)
+            h_parts.append(reshape(transpose(x, (0, 1, 3, 2)), (bsz, t, 2 * self.state_dim)))
+        return u, concat(h_parts, axis=2)
+
+    def forward(self, u: Tensor, resets) -> tuple[Tensor, Tensor]:
+        """Full-sequence pass from the zero state. Returns (m, h): outputs and deterministic states."""
+        u, resets, squeeze = _as_batched(u, resets)
+        m, h = self._run(u, resets, self.discretized(), [None] * len(self.blocks))
+        if self.h_mode == "output":
+            h = m
         if squeeze:
             return reshape(m, m.shape[1:]), reshape(h, h.shape[1:])
         return m, h
 
     def discretized(self) -> list[tuple[Tensor, Tensor]]:
-        """Per-block ZOH coefficients, for repeated online stepping."""
+        """Per-block ZOH coefficients; step() callers reuse them across steps."""
         return [discretize(blk.s5) for blk in self.blocks]
 
     def initial_state(self, batch: int) -> np.ndarray:
@@ -409,35 +337,22 @@ class S5Stack:
         reset: np.ndarray,
         discretized: list[tuple[Tensor, Tensor]] | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """One online step from the packed deterministic state h_prev.
+        """One online step: the sequence pass at T=1, resumed from h_prev.
 
-        h_prev packs each block's [Re x | Im x]; the return is (m, h) with h in
-        the same packed layout ("state" mode is required for stepping).
+        h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
+        forward() returns; u: (B,H); reset: (B,) bool drops h_prev. The return
+        is (m, h) with h in the same packed layout ("state" mode is required
+        for stepping). discretized defaults to self.discretized(); pass it in
+        to reuse it over many steps.
         """
         if self.h_mode == "output":
             raise ConfigError("online stepping needs h_mode='state' (packed internal states)")
         if discretized is None:
             discretized = self.discretized()
         bsz = u.shape[0]
-        p = self.state_dim
-        h_parts = []
-        for i, blk in enumerate(self.blocks):
-            lam_bar, b_bar = discretized[i]
-            seg = tslice(h_prev, (slice(None), slice(i * 2 * p, (i + 1) * 2 * p)))
-            x_prev = concat(
-                [
-                    reshape(tslice(seg, (slice(None), slice(0, p))), (bsz, p, 1)),
-                    reshape(tslice(seg, (slice(None), slice(p, 2 * p))), (bsz, p, 1)),
-                ],
-                axis=2,
-            )
-            v = blk.norm(u)
-            x, y = s5_step(blk.s5, lam_bar, b_bar, x_prev, v, reset)
-            u = add(u, gelu(y))
-            h_parts.append(
-                concat(
-                    [tslice(x, (slice(None), slice(None), 0)), tslice(x, (slice(None), slice(None), 1))],
-                    axis=1,
-                )
-            )
-        return u, concat(h_parts, axis=1)
+        n, p = len(self.blocks), self.state_dim
+        x_prev = transpose(reshape(h_prev, (bsz, n, 2, p)), (0, 1, 3, 2))  # (B, n, P, 2)
+        x0s = [tslice(x_prev, (slice(None), i)) for i in range(n)]
+        resets = np.asarray(reset, dtype=bool).reshape(bsz, 1)
+        m, h = self._run(reshape(u, (bsz, 1, self.width)), resets, discretized, x0s)
+        return reshape(m, (bsz, self.width)), reshape(h, (bsz, n * 2 * p))

@@ -36,21 +36,6 @@ class SubgoalConfig:
         return self.n_codes * self.code_size
 
 
-@dataclass
-class Subgoal:
-    """Categorical code matrix; every row is one-hot."""
-
-    codes: np.ndarray  # (n_codes, code_size) or batched
-
-    def validate(self) -> None:
-        rows = self.codes.sum(axis=-1)
-        if not np.allclose(rows, 1.0) or not np.isin(self.codes, (0.0, 1.0)).all():
-            raise ValueError("subgoal code rows must be one-hot")
-
-    def flat(self) -> np.ndarray:
-        return self.codes.reshape(self.codes.shape[:-2] + (-1,))
-
-
 class SubgoalAutoencoder:
     def __init__(self, rng: np.random.Generator, cfg: SubgoalConfig):
         self.cfg = cfg

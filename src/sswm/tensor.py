@@ -473,13 +473,16 @@ def straight_through(value: np.ndarray, carrier: Tensor) -> Tensor:
     return _make(np.asarray(value, dtype=np.float64), (carrier,), lambda g: (g,))
 
 
-def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray) -> Tensor:
+def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor | None = None) -> Tensor:
     """Gated diagonal complex recurrence x_t = gate_t * lam * x_{t-1} + drive_t.
 
     lam: (P, 2), drive: (B, T, P, 2), gates: (B, T) float 0/1 array (constant,
-    0 resets the state). Returns x: (B, T, P, 2), starting from x_0 = 0. The
-    whole scan is one graph node with an analytically derived adjoint, which
-    is exactly backpropagation through time over the unrolled recurrence.
+    0 resets the state). Returns x: (B, T, P, 2), starting from the carried
+    state x0: (B, P, 2), or from zero when x0 is None; a gate of 0 at t=0
+    drops x0. The whole scan is one graph node with an analytically derived
+    adjoint, which is exactly backpropagation through time over the unrolled
+    recurrence; x0's adjoint is the accumulator carried past t=0,
+    gate_0 * conj(lam) * acc_0.
     """
     _check_pair(lam, "linear_recurrence")
     _check_pair(drive, "linear_recurrence")
@@ -488,11 +491,13 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray) -> Tensor:
     B, T, P, _ = drive.shape
     if gates.shape != (B, T):
         raise ShapeError(f"linear_recurrence: gates must be {(B, T)}, got {gates.shape}")
+    if x0 is not None and x0.shape != (B, P, 2):
+        raise ShapeError(f"linear_recurrence: x0 must be {(B, P, 2)}, got {x0.shape}")
     lamc = _cview(lam.data)  # (P,)
     dc = _cview(drive.data)  # (B, T, P)
     gt = gates[..., None]  # (B, T, 1)
     xs = np.empty((B, T, P), dtype=np.complex128)
-    x = np.zeros((B, P), dtype=np.complex128)
+    x = x_init = 0.0 if x0 is None else _cview(x0.data)
     for t in range(T):
         x = gt[:, t] * (lamc * x) + dc[:, t]
         xs[:, t] = x
@@ -506,12 +511,13 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray) -> Tensor:
         for t in range(T - 1, -1, -1):
             acc = w[:, t] + acc
             gd[:, t] = acc
-            x_prev = xs[:, t - 1] if t > 0 else 0.0
+            x_prev = xs[:, t - 1] if t > 0 else x_init
             glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
             acc = gt[:, t] * lam_conj * acc
-        return _pair(glam), _pair(gd)
+        return (_pair(glam), _pair(gd), _pair(acc))[: len(parents)]
 
-    return _make(_pair(xs), (lam, drive), vjp)
+    parents = (lam, drive) if x0 is None else (lam, drive, x0)
+    return _make(_pair(xs), parents, vjp)
 
 
 # ---------------------------------------------------------------------------

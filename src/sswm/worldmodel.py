@@ -61,6 +61,15 @@ class WmConfig:
     def z_flat(self) -> int:
         return self.n_cats * self.n_classes
 
+    @property
+    def h_width(self) -> int:
+        """Width of the deterministic state h_t for this kind and h_mode."""
+        if self.kind == "rssm":
+            return self.rssm_units
+        if self.h_mode == "output":
+            return self.model_dim
+        return self.n_blocks * 2 * self.state_dim
+
 
 @dataclass
 class LatentState:
@@ -132,13 +141,12 @@ class WorldModel:
                 rng, c.model_dim, c.state_dim, c.n_blocks, c.init_blocks, bc_init=c.bc_init, h_mode=c.h_mode
             )
             self.gru = None
-            self.h_width = self.stack.h_width
             self.m_width = c.model_dim
         else:
             self.stack = None
             self.gru = GruCell(rng, c.model_dim, c.rssm_units)
-            self.h_width = c.rssm_units
             self.m_width = c.rssm_units
+        self.h_width = c.h_width
         self.dyn = MLP(rng, _mlp_sizes(self.m_width, c.mlp_units, c.mlp_layers, c.z_flat))
         feat = self.h_width + c.z_flat
         self.reward_head = MLP(rng, _mlp_sizes(feat, c.mlp_units, c.mlp_layers, 1))

@@ -6,7 +6,7 @@ from scipy import stats
 
 from sswm.envs import TwoLevelGridworld
 from sswm.nn import AdamW
-from sswm.subgoal import Subgoal, SubgoalAutoencoder, SubgoalConfig
+from sswm.subgoal import SubgoalAutoencoder, SubgoalConfig
 from sswm.tensor import Tensor, grad_check, make_rng
 
 
@@ -29,7 +29,8 @@ def test_paper_scale_shape():
     ae = make_ae(h_width=16, n_codes=8, code_size=8)
     _, sample = ae.encode(Tensor(np.zeros((3, 16))), make_rng(2))
     assert sample.shape == (3, 8, 8)
-    Subgoal(codes=sample.data).validate()
+    assert np.isin(sample.data, (0.0, 1.0)).all()
+    np.testing.assert_array_equal(sample.data.sum(axis=-1), 1.0)  # one-hot rows
 
 
 def test_encode_deterministic_given_seed():

@@ -165,12 +165,15 @@ def test_linear_recurrence_gradients():
         lam = Tensor(rng.uniform(-0.9, 0.9, size=(3, 2)), requires_grad=True)
         drive = Tensor(rng.uniform(-1, 1, size=(2, 5, 3, 2)), requires_grad=True)
         gates = (rng.random((2, 5)) > 0.3).astype(float)
+        leaves = {"lam": lam, "drive": drive}
+        if seed % 2:  # odd seeds resume from a carried state, itself a leaf
+            leaves["x0"] = Tensor(rng.uniform(-1, 1, size=(2, 3, 2)), requires_grad=True)
 
         def fn():
-            x = T.linear_recurrence(lam, drive, gates)
+            x = T.linear_recurrence(lam, drive, gates, leaves.get("x0"))
             return T.tsum(T.mul(x, x))
 
-        report = grad_check(fn, {"lam": lam, "drive": drive}, epsilon=1e-5)
+        report = grad_check(fn, leaves, epsilon=1e-5)
         worst = max(worst, report.max_rel_err)
     assert worst < 1e-5, f"linear_recurrence rel err {worst}"
 

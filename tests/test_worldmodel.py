@@ -102,12 +102,9 @@ def test_sample_rows_exactly_one_hot():
 
 
 def test_symlog_identities():
-    x = Tensor(np.array([0.0, np.e - 1.0]))
-    np.testing.assert_allclose(dists.symlog(x).data, [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(dists.symlog_np(np.array([0.0, np.e - 1.0, 1.0 - np.e])), [0.0, 1.0, -1.0], atol=1e-12)
     v = np.linspace(-30, 30, 101)
     np.testing.assert_allclose(dists.symexp_np(dists.symlog_np(v)), v, atol=1e-12, rtol=1e-12)
-    roundtrip = dists.symexp(dists.symlog(Tensor(v)))
-    np.testing.assert_allclose(roundtrip.data, v, atol=1e-12, rtol=1e-12)
 
 
 def test_continue_logit_zero_is_even_odds():
@@ -358,3 +355,11 @@ def test_rssm_selected_via_config():
     batch = random_batch(make_rng(37), wm.cfg)
     total, report, _ = wm.loss(batch, make_rng(38))
     assert np.isfinite(report.total)
+
+
+@pytest.mark.parametrize("kind,h_mode", [("s5", "state"), ("s5", "output"), ("rssm", "state")])
+def test_config_h_width_matches_built_model(kind, h_mode):
+    wm = make_wm(seed=39, kind=kind, h_mode=h_mode, n_blocks=2)
+    out = wm.forward_sequence(*(random_batch(make_rng(40), wm.cfg)[k] for k in ("obs", "action", "reset")), make_rng(41))
+    assert out["h"].shape[-1] == wm.cfg.h_width == wm.h_width
+    assert wm.initial_state(3).h.shape == (3, wm.cfg.h_width)
