@@ -61,19 +61,11 @@ def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def uplink_observation(states: list[np.ndarray], k: int, mode: str = "all") -> np.ndarray:
-    """Concatenate k consecutive flattened lower-level states into one vector.
-
-    mode "all" keeps all k states (width k*d); "last" keeps only the k-th
-    state (width d), the ablation variant.
-    """
+def uplink_observation(states: list[np.ndarray], k: int) -> np.ndarray:
+    """Concatenate k consecutive flattened lower-level states into one vector (width k*d)."""
     if len(states) != k:
         raise ValueError(f"uplink needs exactly {k} buffered states, got {len(states)}")
-    if mode == "all":
-        return np.concatenate(states)
-    if mode == "last":
-        return np.asarray(states[-1])
-    raise ValueError(f"unknown uplink mode {mode!r}")
+    return np.concatenate(states)
 
 
 def lambda_returns(rewards, conts, values, gamma: float, lam: float) -> np.ndarray:
@@ -217,8 +209,6 @@ class LevelConfig:
     sg: SubgoalConfig
     ac: AcConfig
     k: int
-    goal_repr: str = "encoded"  # or "decoded" (ablation)
-    uplink_mode: str = "all"  # or "last" (ablation)
 
 
 class Subactor:
@@ -262,12 +252,8 @@ class Subactor:
         return self._goal_dec_cache
 
     def goal_feature(self) -> np.ndarray:
-        if self.cfg.goal_repr == "encoded":
-            return self.goal_codes.reshape(-1)
-        return self.decoded_goal()
-
-    def goal_feature_width(self) -> int:
-        return self.cfg.sg.flat if self.cfg.goal_repr == "encoded" else self.wm.h_width
+        """The held goal as the policy sees it: its flattened codes."""
+        return self.goal_codes.reshape(-1)
 
     # -- interaction ----------------------------------------------------------
 
@@ -296,7 +282,7 @@ class Subactor:
                 self.h = np.zeros_like(self.h)
                 self.z = np.zeros_like(self.z)
                 self.a_prev = np.zeros_like(self.a_prev)
-            if self._ctx is None and self.wm.stack is not None:
+            if self._ctx is None:
                 self._ctx = self.wm.step_context()
             post_logits = self.wm.encode(Tensor(obs[None, :]))
             z_t = dists.sample_one_hot(self.wm.probs(post_logits).data, rng)
@@ -355,9 +341,8 @@ class Subactor:
 
     def _project_timescales(self) -> None:
         # keep exp(log_delta) <= 1 (type invariant) under gradient updates
-        if self.wm.stack is not None:
-            for blk in self.wm.stack.blocks:
-                np.minimum(blk.s5.log_delta.data, 0.0, out=blk.s5.log_delta.data)
+        for blk in self.wm.stack.blocks:
+            np.minimum(blk.s5.log_delta.data, 0.0, out=blk.s5.log_delta.data)
 
     def _train_actor(self, wm_out: dict, batch: dict, horizon: int, rng) -> dict:
         bsz, t_len = batch["reward"].shape
@@ -384,9 +369,8 @@ class Subactor:
                 traj["h"][:, t], traj["z"][:, t], goal_vec, traj["reward"][:, t], traj["cont"][:, t], traj["entropy"][:, t]
             )
         r_g = subgoal_reward(goal_dec, traj["h"])
-        nov = np.stack(
-            [self.ae.novelty(traj["h"][:, t], rng) for t in range(hp1)], axis=1
-        )
+        # time-major rows draw the sampled codes in the order of a per-step loop
+        nov = self.ae.novelty(traj["h"].transpose(1, 0, 2).reshape(hp1 * n, -1), rng).reshape(hp1, n).T
         rewards = {"extr": traj["reward"], "g": r_g, "nov": nov}
         actions = traj["action"].reshape(n, horizon, self.cfg.ac.action_groups, self.cfg.ac.action_classes)
         total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"], self.weights)
@@ -472,7 +456,7 @@ class HierarchicalAgent:
         """Level i observes the completed window of level i-1 and emits a subgoal."""
         upper = self.levels[i]
         below = self.levels[i - 1]
-        uplink = uplink_observation(self._buffers[i - 1], self.k, upper.cfg.uplink_mode)
+        uplink = uplink_observation(self._buffers[i - 1], self.k)
         reward = self._win_reward[i - 1]
         cont = self._win_cont[i - 1]
         reset = self._win_reset[i - 1]
@@ -522,8 +506,6 @@ def build_agent(
     sg_kwargs: dict | None = None,
     ac_kwargs: dict | None = None,
     weights: MixWeights | None = None,
-    goal_repr: str = "encoded",
-    uplink_mode: str = "all",
     lr: float = 1e-4,
     weight_decay: float = 0.0,
 ) -> HierarchicalAgent:
@@ -549,8 +531,7 @@ def build_agent(
         wm_cfg = WmConfig(obs_dim=obs_dim, action_dim=action_dim, **wm_kwargs)
         h_width = wm_cfg.h_width
         sg_cfg = SubgoalConfig(h_width=h_width, **sg_kwargs)
-        goal_width = sg_cfg.flat if goal_repr == "encoded" else h_width
-        feat_width = h_width + wm_cfg.z_flat + goal_width + 3
+        feat_width = h_width + wm_cfg.z_flat + sg_cfg.flat + 3
         ac_cfg = AcConfig(
             feat_width=feat_width,
             action_groups=action_groups,
@@ -558,11 +539,10 @@ def build_agent(
             **ac_kwargs,
         )
         lvl_weights = weights if i < depth - 1 else MixWeights(weights.w_extr, 0.0, weights.w_nov)
-        cfg = LevelConfig(wm=wm_cfg, sg=sg_cfg, ac=ac_cfg, k=k, goal_repr=goal_repr, uplink_mode=uplink_mode)
+        cfg = LevelConfig(wm=wm_cfg, sg=sg_cfg, ac=ac_cfg, k=k)
         levels.append(Subactor(i, rng, cfg, lvl_weights, lr=lr, weight_decay=weight_decay))
         # dimensions seen by the next level up
-        state_width = h_width + wm_cfg.z_flat
-        obs_dim = state_width * (k if uplink_mode == "all" else 1)
+        obs_dim = k * (h_width + wm_cfg.z_flat)
         action_groups, action_classes = sg_cfg.n_codes, sg_cfg.code_size
         action_dim = sg_cfg.flat
     return HierarchicalAgent(levels, k, rng_seed=seed)

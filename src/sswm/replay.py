@@ -141,16 +141,6 @@ class TimeBalancedBaseline:
         return idx
 
 
-def make_sampler(name: str, tau: float = 0.3):
-    if name == "uniform":
-        return UniformSampler()
-    if name == "etbs":
-        return EtbsSampler(tau)
-    if name == "tb_baseline":
-        return TimeBalancedBaseline()
-    raise DomainError(f"unknown sampler {name!r}")
-
-
 class ExperienceDataset:
     """Append-only store of environment transitions with episode bookkeeping.
 

@@ -123,13 +123,11 @@ def hippo_n_init(
     blocks: int,
     width: int,
     rng: np.random.Generator,
-    bc_init: str = "eigen",
 ) -> S5Params:
     """HiPPO-N initialization: J copies of the size-(P/J) normal-matrix spectrum.
 
-    b_mat/c_mat are either projected into the eigenvector basis of each block
-    ("eigen", default) or drawn as plain complex Gaussians ("random"); the
-    timescale is log-uniform in [1e-3, 1e-1].
+    b_mat/c_mat are real Gaussians projected into the eigenvector basis of
+    each block; the timescale is log-uniform in [1e-3, 1e-1].
     """
     if state_dim % blocks != 0:
         raise ConfigError(f"state_dim {state_dim} not divisible by init blocks {blocks}")
@@ -142,20 +140,8 @@ def hippo_n_init(
     b_cols = []
     c_cols = []
     for _ in range(blocks):
-        if bc_init == "eigen":
-            b_blk = v.conj().T @ rng.normal(0.0, 1.0 / np.sqrt(width), size=(n, width))
-            c_blk = rng.normal(0.0, 1.0 / np.sqrt(state_dim), size=(width, n)) @ v
-        elif bc_init == "random":
-            b_blk = (
-                rng.normal(0.0, 1.0, size=(n, width)) + 1j * rng.normal(0.0, 1.0, size=(n, width))
-            ) / np.sqrt(2.0 * width)
-            c_blk = (
-                rng.normal(0.0, 1.0, size=(width, n)) + 1j * rng.normal(0.0, 1.0, size=(width, n))
-            ) / np.sqrt(2.0 * state_dim)
-        else:
-            raise ConfigError(f"unknown bc_init {bc_init!r}")
-        b_cols.append(b_blk)
-        c_cols.append(c_blk)
+        b_cols.append(v.conj().T @ rng.normal(0.0, 1.0 / np.sqrt(width), size=(n, width)))
+        c_cols.append(rng.normal(0.0, 1.0 / np.sqrt(state_dim), size=(width, n)) @ v)
     b = np.concatenate(b_cols, axis=0)  # (P, H) complex
     c = np.concatenate(c_cols, axis=1)  # (H, P) complex
 
@@ -248,8 +234,8 @@ def scan_sequential(
 class S5Block:
     """Pre-norm S5 layer with GELU nonlinearity and a residual connection."""
 
-    def __init__(self, rng, width: int, state_dim: int, init_blocks: int, bc_init: str = "eigen"):
-        self.s5 = hippo_n_init(state_dim, init_blocks, width, rng, bc_init=bc_init)
+    def __init__(self, rng, width: int, state_dim: int, init_blocks: int):
+        self.s5 = hippo_n_init(state_dim, init_blocks, width, rng)
         self.norm = LayerNorm(width)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -262,34 +248,15 @@ class S5Stack:
     """Stack of S5 blocks exposing the concatenated internal states.
 
     The per-step deterministic state h_t is, per block, the realified internal
-    state [Re x_t | Im x_t] concatenated over blocks (width n_blocks * 2P); in
-    "output" mode h_t is instead the final block's output m_t.
+    state [Re x_t | Im x_t] concatenated over blocks (width n_blocks * 2P).
     """
 
-    def __init__(
-        self,
-        rng,
-        width: int,
-        state_dim: int,
-        n_blocks: int,
-        init_blocks: int,
-        bc_init: str = "eigen",
-        h_mode: str = "state",
-    ):
+    def __init__(self, rng, width: int, state_dim: int, n_blocks: int, init_blocks: int):
         if n_blocks < 1:
             raise ConfigError("need at least one S5 block")
-        if h_mode not in ("state", "output"):
-            raise ConfigError(f"unknown h_mode {h_mode!r}")
         self.width = width
         self.state_dim = state_dim
-        self.h_mode = h_mode
-        self.blocks = [S5Block(rng, width, state_dim, init_blocks, bc_init) for _ in range(n_blocks)]
-
-    @property
-    def h_width(self) -> int:
-        if self.h_mode == "output":
-            return self.width
-        return len(self.blocks) * 2 * self.state_dim
+        self.blocks = [S5Block(rng, width, state_dim, init_blocks) for _ in range(n_blocks)]
 
     def params(self, prefix: str = "stack") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -316,8 +283,6 @@ class S5Stack:
         """Full-sequence pass from the zero state. Returns (m, h): outputs and deterministic states."""
         u, resets, squeeze = _as_batched(u, resets)
         m, h = self._run(u, resets, self.discretized(), [None] * len(self.blocks))
-        if self.h_mode == "output":
-            h = m
         if squeeze:
             return reshape(m, m.shape[1:]), reshape(h, h.shape[1:])
         return m, h
@@ -341,12 +306,9 @@ class S5Stack:
 
         h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
         forward() returns; u: (B,H); reset: (B,) bool drops h_prev. The return
-        is (m, h) with h in the same packed layout ("state" mode is required
-        for stepping). discretized defaults to self.discretized(); pass it in
-        to reuse it over many steps.
+        is (m, h) with h in the same packed layout. discretized defaults to
+        self.discretized(); pass it in to reuse it over many steps.
         """
-        if self.h_mode == "output":
-            raise ConfigError("online stepping needs h_mode='state' (packed internal states)")
         if discretized is None:
             discretized = self.discretized()
         bsz = u.shape[0]

@@ -1,7 +1,7 @@
-"""Latent world model on a resettable S5 stack, with a GRU-cell baseline.
+"""Latent world model on a resettable S5 stack.
 
 Six jointly trained networks: observation encoder (categorical posterior),
-sequence model (S5 stack or GRU), dynamics predictor (categorical prior),
+sequence model (S5 stack), dynamics predictor (categorical prior),
 reward head, continue head and observation decoder. The sequence model's
 internal states double as the deterministic part h_t of the latent state; the
 stochastic part z_t is a matrix of one-hot categoricals sampled straight
@@ -29,7 +29,6 @@ from .tensor import (
     neg,
     no_grad,
     reshape,
-    tanh,
     tmean,
     tslice,
     tsum,
@@ -52,10 +51,6 @@ class WmConfig:
     a_dyn: float = 0.5
     a_rep: float = 0.1
     free_bits: float = 1.0
-    kind: str = "s5"  # or "rssm"
-    h_mode: str = "state"  # or "output" (sequence output as h_t)
-    bc_init: str = "eigen"
-    rssm_units: int = 64
 
     @property
     def z_flat(self) -> int:
@@ -63,11 +58,7 @@ class WmConfig:
 
     @property
     def h_width(self) -> int:
-        """Width of the deterministic state h_t for this kind and h_mode."""
-        if self.kind == "rssm":
-            return self.rssm_units
-        if self.h_mode == "output":
-            return self.model_dim
+        """Width of the deterministic state h_t: each block's packed [Re x | Im x]."""
         return self.n_blocks * 2 * self.state_dim
 
 
@@ -95,59 +86,19 @@ class WmLossReport:
     obs_nll: float
 
 
-class GruCell:
-    """Single gated recurrent cell (the RSSM-style sequence-model baseline)."""
-
-    def __init__(self, rng, n_in: int, n_hidden: int):
-        self.n_hidden = n_hidden
-        self.gates = Linear(rng, n_in + n_hidden, 2 * n_hidden)
-        self.cand = Linear(rng, n_in + n_hidden, n_hidden)
-
-    @staticmethod
-    def _sigmoid(x: Tensor) -> Tensor:
-        return add(mul(tanh(mul(x, Tensor(0.5))), Tensor(0.5)), Tensor(0.5))
-
-    def step(self, x: Tensor, h_prev: Tensor, reset: np.ndarray) -> Tensor:
-        bsz = x.shape[0]
-        keep = Tensor((1.0 - np.asarray(reset, dtype=np.float64)).reshape(bsz, 1))
-        h_prev = mul(h_prev, keep)
-        joint = concat([x, h_prev], axis=1)
-        g = self._sigmoid(self.gates(joint))
-        r = tslice(g, (slice(None), slice(0, self.n_hidden)))
-        u = tslice(g, (slice(None), slice(self.n_hidden, 2 * self.n_hidden)))
-        cand = tanh(self.cand(concat([x, mul(r, h_prev)], axis=1)))
-        return add(mul(add(Tensor(1.0), neg(u)), h_prev), mul(u, cand))
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = self.gates.params(f"{prefix}.gates")
-        out.update(self.cand.params(f"{prefix}.cand"))
-        return out
-
-
 def _mlp_sizes(n_in: int, units: int, layers: int, n_out: int) -> list[int]:
     return [n_in] + [units] * layers + [n_out]
 
 
 class WorldModel:
     def __init__(self, rng: np.random.Generator, cfg: WmConfig):
-        if cfg.kind not in ("s5", "rssm"):
-            raise ConfigError(f"unknown world model kind {cfg.kind!r}")
         self.cfg = cfg
         c = cfg
         self.encoder = MLP(rng, _mlp_sizes(c.obs_dim, c.mlp_units, c.mlp_layers, c.z_flat))
         self.in_proj = Linear(rng, c.z_flat + c.action_dim, c.model_dim)
-        if c.kind == "s5":
-            self.stack = S5Stack(
-                rng, c.model_dim, c.state_dim, c.n_blocks, c.init_blocks, bc_init=c.bc_init, h_mode=c.h_mode
-            )
-            self.gru = None
-            self.m_width = c.model_dim
-        else:
-            self.stack = None
-            self.gru = GruCell(rng, c.model_dim, c.rssm_units)
-            self.m_width = c.rssm_units
+        self.stack = S5Stack(rng, c.model_dim, c.state_dim, c.n_blocks, c.init_blocks)
         self.h_width = c.h_width
-        self.dyn = MLP(rng, _mlp_sizes(self.m_width, c.mlp_units, c.mlp_layers, c.z_flat))
+        self.dyn = MLP(rng, _mlp_sizes(c.model_dim, c.mlp_units, c.mlp_layers, c.z_flat))
         feat = self.h_width + c.z_flat
         self.reward_head = MLP(rng, _mlp_sizes(feat, c.mlp_units, c.mlp_layers, 1))
         self.cont_head = MLP(rng, _mlp_sizes(feat, c.mlp_units, c.mlp_layers, 1))
@@ -156,10 +107,7 @@ class WorldModel:
     def params(self) -> dict[str, Tensor]:
         out = self.encoder.params("wm.enc")
         out.update(self.in_proj.params("wm.in_proj"))
-        if self.stack is not None:
-            out.update(self.stack.params("wm.stack"))
-        else:
-            out.update(self.gru.params("wm.gru"))
+        out.update(self.stack.params("wm.stack"))
         out.update(self.dyn.params("wm.dyn"))
         out.update(self.reward_head.params("wm.reward"))
         out.update(self.cont_head.params("wm.cont"))
@@ -180,7 +128,7 @@ class WorldModel:
         return reshape(self.encoder(obs), (n, self.cfg.n_cats, self.cfg.n_classes))
 
     def dynamics_logits(self, m: Tensor) -> Tensor:
-        """Prior logits p(z|m): (N, m_width) -> (N, n_cats, n_classes)."""
+        """Prior logits p(z|m): (N, model_dim) -> (N, n_cats, n_classes)."""
         n = m.shape[0]
         return reshape(self.dyn(m), (n, self.cfg.n_cats, self.cfg.n_classes))
 
@@ -193,13 +141,10 @@ class WorldModel:
 
     # -- heads ---------------------------------------------------------------
 
-    def predict_heads(self, h: Tensor, z_flat: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """(reward in symlog space, continue logit, decoded observation)."""
-        feats = concat([h, z_flat], axis=1)
-        r = reshape(self.reward_head(feats), (h.shape[0],))
-        c = reshape(self.cont_head(feats), (h.shape[0],))
-        o = self.decoder(feats)
-        return r, c, o
+    def predict_heads(self, feats: Tensor) -> tuple[Tensor, Tensor]:
+        """(reward in symlog space, continue logit) from (N, h_width + z_flat) [h, z] features."""
+        n = feats.shape[0]
+        return reshape(self.reward_head(feats), (n,)), reshape(self.cont_head(feats), (n,))
 
     # -- sequence pass -------------------------------------------------------
 
@@ -246,25 +191,11 @@ class WorldModel:
             raise ConfigError(f"unknown sample_mode {sample_mode!r}")
         z = reshape(z_flat_t, (bsz, t_len, self.cfg.n_cats, self.cfg.n_classes))
         u = self._seq_inputs(z, action, resets)
-        if self.stack is not None:
-            m, h = self.stack.forward(u, resets)
-        else:
-            hs = []
-            h_t = Tensor(np.zeros((bsz, self.h_width)))
-            for t in range(t_len):
-                h_t = self.gru.step(
-                    reshape(tslice(u, (slice(None), slice(t, t + 1))), (bsz, self.cfg.model_dim)),
-                    h_t,
-                    resets[:, t],
-                )
-                hs.append(reshape(h_t, (bsz, 1, self.h_width)))
-            h = concat(hs, axis=1)
-            m = h
-        m2 = reshape(m, (bsz * t_len, self.m_width))
-        h2 = reshape(h, (bsz * t_len, self.h_width))
-        prior_logits = self.dynamics_logits(m2)
-        z2 = reshape(z, (bsz * t_len, self.cfg.z_flat))
-        reward_sym, cont_logit, obs_pred = self.predict_heads(h2, z2)
+        m, h = self.stack.forward(u, resets)
+        prior_logits = self.dynamics_logits(reshape(m, (bsz * t_len, self.cfg.model_dim)))
+        feats = concat([reshape(h, (bsz * t_len, self.h_width)), reshape(z, (bsz * t_len, self.cfg.z_flat))], axis=1)
+        reward_sym, cont_logit = self.predict_heads(feats)
+        obs_pred = self.decoder(feats)
         return {
             "post_logits": post_logits,
             "post_probs": post_probs,
@@ -320,7 +251,7 @@ class WorldModel:
 
     def step_context(self):
         """Precomputed discretization for repeated online stepping."""
-        return self.stack.discretized() if self.stack is not None else None
+        return self.stack.discretized()
 
     def wm_step(
         self,
@@ -338,12 +269,7 @@ class WorldModel:
         bsz = h_prev.shape[0]
         zf = reshape(z_prev, (bsz, self.cfg.z_flat))
         u = self.in_proj(concat([zf, a_prev], axis=1))
-        if self.stack is not None:
-            if ctx is None:
-                ctx = self.stack.discretized()
-            return self.stack.step(h_prev, u, reset, ctx)
-        h = self.gru.step(u, h_prev, reset)
-        return h, h
+        return self.stack.step(h_prev, u, reset, ctx)
 
     def initial_state(self, batch: int) -> LatentState:
         z = np.zeros((batch, self.cfg.n_cats, self.cfg.n_classes))
@@ -357,8 +283,9 @@ class WorldModel:
 
         act_fn(step_index, state_dict) -> one-hot actions (B, action_dim);
         state_dict carries h, z, reward, cont, entropy (all numpy). There is
-        deliberately no observation input anywhere on this path. Runs without
-        gradient recording; the returned trajectory is plain numpy.
+        deliberately no observation input anywhere on this path, and the
+        observation decoder does not run. Runs without gradient recording;
+        the returned trajectory is plain numpy.
         """
         if horizon < 1:
             raise ConfigError("imagination horizon must be >= 1")
@@ -369,18 +296,20 @@ class WorldModel:
             h = np.empty((bsz, horizon + 1, start.h.shape[1]))
             z = np.empty((bsz, horizon + 1, c.n_cats, c.n_classes))
             actions = np.empty((bsz, horizon, c.action_dim))
-            rewards = np.zeros((bsz, horizon + 1))
-            conts = np.ones((bsz, horizon + 1))
+            rewards = np.empty((bsz, horizon + 1))
+            conts = np.empty((bsz, horizon + 1))
             entropies = np.zeros((bsz, horizon + 1))
             h[:, 0] = start.h
             z[:, 0] = start.z
             if start_entropy is not None:
                 entropies[:, 0] = start_entropy
-            r0, c0, _ = self.predict_heads(Tensor(start.h), Tensor(start.z.reshape(bsz, c.z_flat)))
-            rewards[:, 0] = dists.symexp_np(r0.data)
-            conts[:, 0] = 1.0 / (1.0 + np.exp(-c0.data))
             no_reset = np.zeros(bsz, dtype=bool)
-            for i in range(horizon):
+            for i in range(horizon + 1):
+                r_t, c_t = self.predict_heads(Tensor(np.concatenate([h[:, i], z[:, i].reshape(bsz, c.z_flat)], axis=1)))
+                rewards[:, i] = dists.symexp_np(r_t.data)
+                conts[:, i] = 1.0 / (1.0 + np.exp(-c_t.data))
+                if i == horizon:
+                    break
                 state = {
                     "h": h[:, i],
                     "z": z[:, i],
@@ -391,15 +320,10 @@ class WorldModel:
                 a = act_fn(i, state)
                 actions[:, i] = a
                 m_t, h_t = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), no_reset, ctx)
-                prior_logits = self.dynamics_logits(m_t)
-                prior_probs = self.probs(prior_logits)
-                z_t = dists.sample_one_hot(prior_probs.data, rng)
-                entropies[:, i + 1] = dists.entropy_categorical_np(prior_probs.data).sum(axis=-1)
-                r_t, c_t, _ = self.predict_heads(h_t, Tensor(z_t.reshape(bsz, c.z_flat)))
+                prior_probs = self.probs(self.dynamics_logits(m_t))
                 h[:, i + 1] = h_t.data
-                z[:, i + 1] = z_t
-                rewards[:, i + 1] = dists.symexp_np(r_t.data)
-                conts[:, i + 1] = 1.0 / (1.0 + np.exp(-c_t.data))
+                z[:, i + 1] = dists.sample_one_hot(prior_probs.data, rng)
+                entropies[:, i + 1] = dists.entropy_categorical_np(prior_probs.data).sum(axis=-1)
         return {
             "h": h,
             "z": z,

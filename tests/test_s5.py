@@ -22,8 +22,8 @@ def dense_normal_hippo_oracle(n: int) -> np.ndarray:
     return mat
 
 
-def fresh_params(seed=0, p=4, j=1, h=3, bc_init="eigen"):
-    return s5.hippo_n_init(p, j, h, make_rng(seed), bc_init=bc_init)
+def fresh_params(seed=0, p=4, j=1, h=3):
+    return s5.hippo_n_init(p, j, h, make_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +65,6 @@ def test_hippo_block_structure_repeats_spectrum():
 def test_hippo_rejects_indivisible_blocks():
     with pytest.raises(s5.ConfigError, match="divisible"):
         s5.hippo_n_init(6, 4, 3, make_rng(0))
-
-
-def test_hippo_init_modes_differ():
-    a = fresh_params(seed=5, bc_init="eigen")
-    b = fresh_params(seed=5, bc_init="random")
-    assert not np.allclose(a.b_mat.data, b.b_mat.data)
 
 
 def test_log_delta_range():
@@ -258,8 +252,8 @@ def test_scan_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 
-def make_stack(seed=0, width=4, p=3, n_blocks=2, h_mode="state"):
-    return s5.S5Stack(make_rng(seed), width, p, n_blocks, 1, h_mode=h_mode)
+def make_stack(seed=0, width=4, p=3, n_blocks=2):
+    return s5.S5Stack(make_rng(seed), width, p, n_blocks, 1)
 
 
 def test_stack_pure_residual():
@@ -277,16 +271,7 @@ def test_stack_h_width():
     stack = make_stack(width=4, p=3, n_blocks=2)
     u = make_rng(41).normal(size=(5, 4))
     _, h = stack.forward(Tensor(u), np.zeros(5, dtype=bool))
-    assert h.shape == (5, 2 * 2 * 3)
-    assert stack.h_width == 12
-
-
-def test_stack_output_as_h_mode():
-    stack = make_stack(h_mode="output")
-    u = make_rng(42).normal(size=(5, 4))
-    m, h = stack.forward(Tensor(u), np.zeros(5, dtype=bool))
-    np.testing.assert_array_equal(m.data, h.data)
-    assert stack.h_width == 4
+    assert h.shape == (5, 2 * 2 * 3)  # n_blocks * 2P: each block's [Re x | Im x]
 
 
 def test_stack_step_matches_sequence():

@@ -7,7 +7,7 @@ from scipy import stats
 from sswm import dists
 from sswm.s5 import ConfigError
 from sswm.tensor import Tensor, backward, grad_check, make_rng, tsum, mul
-from sswm.worldmodel import GruCell, LatentState, WmConfig, WorldModel
+from sswm.worldmodel import LatentState, WmConfig, WorldModel
 
 
 def tiny_cfg(**kw):
@@ -21,7 +21,6 @@ def tiny_cfg(**kw):
         n_blocks=1,
         init_blocks=2,
         mlp_units=8,
-        rssm_units=8,
     )
     base.update(kw)
     return WmConfig(**base)
@@ -311,6 +310,18 @@ def test_imagine_uniform_prior_entropy():
     np.testing.assert_allclose(traj["entropy"][:, 1:], want, atol=1e-9)
 
 
+def test_imagine_runs_no_observation_decoder():
+    wm = make_wm(seed=42)
+
+    def no_decoding(feats):
+        raise AssertionError("imagine decoded an observation")
+
+    wm.decoder = no_decoding
+    traj = wm.imagine(wm.initial_state(3), zero_policy(wm.cfg), horizon=2, rng=make_rng(43))
+    assert traj["reward"].shape == traj["cont"].shape == (3, 3)
+    assert np.isfinite(traj["reward"]).all() and np.isfinite(traj["cont"]).all()
+
+
 def test_imagine_takes_no_observations():
     import inspect
 
@@ -318,48 +329,8 @@ def test_imagine_takes_no_observations():
     assert "obs" not in sig.parameters and "observation" not in sig.parameters
 
 
-# ---------------------------------------------------------------------------
-# GRU baseline
-# ---------------------------------------------------------------------------
-
-
-def test_rssm_step_shape_contract():
-    wm = make_wm(seed=34, kind="rssm")
-    rng = make_rng(35)
-    z = dists.sample_one_hot(np.full((2, 2, 4), 0.25), rng)
-    m, h = wm.wm_step(Tensor(np.zeros((2, wm.h_width))), Tensor(z), Tensor(rng.normal(size=(2, 3))), np.zeros(2, bool))
-    assert m.shape == (2, wm.m_width)
-    assert h.shape == (2, wm.h_width)
-
-
-def test_rssm_gradients_match_finite_differences():
-    rng = make_rng(36)
-    cell = GruCell(rng, 4, 5)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-
-    def fn():
-        h = cell.step(x, h0, np.zeros(3, bool))
-        h = cell.step(x, h, np.zeros(3, bool))
-        return tsum(mul(h, h))
-
-    leaves = dict(cell.params("gru"))
-    leaves.update({"x": x, "h0": h0})
-    report = grad_check(fn, leaves, epsilon=1e-5)
-    assert report.max_rel_err < 1e-5, report.per_leaf
-
-
-def test_rssm_selected_via_config():
-    wm = make_wm(kind="rssm")
-    assert wm.stack is None and wm.gru is not None
-    batch = random_batch(make_rng(37), wm.cfg)
-    total, report, _ = wm.loss(batch, make_rng(38))
-    assert np.isfinite(report.total)
-
-
-@pytest.mark.parametrize("kind,h_mode", [("s5", "state"), ("s5", "output"), ("rssm", "state")])
-def test_config_h_width_matches_built_model(kind, h_mode):
-    wm = make_wm(seed=39, kind=kind, h_mode=h_mode, n_blocks=2)
+def test_config_h_width_matches_built_model():
+    wm = make_wm(seed=39, n_blocks=2)
     out = wm.forward_sequence(*(random_batch(make_rng(40), wm.cfg)[k] for k in ("obs", "action", "reset")), make_rng(41))
     assert out["h"].shape[-1] == wm.cfg.h_width == wm.h_width
     assert wm.initial_state(3).h.shape == (3, wm.cfg.h_width)
