@@ -258,7 +258,7 @@ class Subactor:
     # -- interaction ----------------------------------------------------------
 
     def refresh_ctx(self) -> None:
-        """Rebuild cached discretization after parameter updates."""
+        """Drop the cached step context; the next advance rebuilds it from the updated parameters."""
         self._ctx = None
 
     def _features(self, h, z, goal_vec, reward, cont, entropy):
@@ -354,20 +354,19 @@ class Subactor:
         start_entropy = dists.entropy_categorical_np(wm_out["prior_probs"].data).sum(axis=-1)
         goal_vec = self.goal_feature()
         goal_dec = self.decoded_goal()
-
-        def act_fn(i, state):
-            feats = self._features(
-                state["h"], state["z"], goal_vec, state["reward"], state["cont"], state["entropy"]
-            )
-            return self.ac.act(feats, rng).reshape(n, -1)
-
-        traj = self.wm.imagine(start, act_fn, horizon, rng, start_entropy=start_entropy)
         hp1 = horizon + 1
         feats = np.empty((n, hp1, self.cfg.ac.feat_width))
-        for t in range(hp1):
-            feats[:, t] = self._features(
-                traj["h"][:, t], traj["z"][:, t], goal_vec, traj["reward"][:, t], traj["cont"][:, t], traj["entropy"][:, t]
-            )
+
+        def act_fn(i, state):
+            f = self._features(state["h"], state["z"], goal_vec, state["reward"], state["cont"], state["entropy"])
+            feats[:, i] = f
+            return self.ac.act(f, rng).reshape(n, -1)
+
+        traj = self.wm.imagine(start, act_fn, horizon, rng, start_entropy=start_entropy)
+        feats[:, horizon] = self._features(
+            traj["h"][:, horizon], traj["z"][:, horizon], goal_vec,
+            traj["reward"][:, horizon], traj["cont"][:, horizon], traj["entropy"][:, horizon],
+        )
         r_g = subgoal_reward(goal_dec, traj["h"])
         # time-major rows draw the sampled codes in the order of a per-step loop
         nov = self.ae.novelty(traj["h"].transpose(1, 0, 2).reshape(hp1 * n, -1), rng).reshape(hp1, n).T

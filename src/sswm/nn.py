@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, exp, gelu, log, matmul, mul, neg, tmean
+from .tensor import Tensor, affine, gelu, layer_norm
 
 
 class Linear:
-    """Affine map for 2-D inputs: (N, n_in) -> (N, n_out)."""
+    """Affine map for 2-D inputs: (N, n_in) -> (N, n_out), one tensor.affine node."""
 
     def __init__(self, rng: np.random.Generator, n_in: int, n_out: int, scale: float | None = None):
         std = (1.0 / np.sqrt(n_in)) if scale is None else scale
@@ -20,7 +20,7 @@ class Linear:
         self.b = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return affine(x, self.w, self.b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -47,7 +47,7 @@ class MLP:
 
 
 class LayerNorm:
-    """Normalization over the trailing axis with learned scale and shift."""
+    """Normalization over the trailing axis with learned scale and shift, one tensor.layer_norm node."""
 
     def __init__(self, width: int, eps: float = 1e-6):
         self.scale = Tensor(np.ones(width), requires_grad=True)
@@ -55,12 +55,7 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = tmean(x, axis=-1, keepdims=True)
-        centered = add(x, neg(mu))
-        var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-        # 1/sqrt(v) composed from exp/log (both ops carry exact gradients).
-        inv = exp(mul(Tensor(-0.5), log(add(var, Tensor(self.eps)))))
-        return add(mul(mul(centered, inv), self.scale), self.shift)
+        return layer_norm(x, self.scale, self.shift, self.eps)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.scale": self.scale, f"{prefix}.shift": self.shift}

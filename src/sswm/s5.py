@@ -9,7 +9,9 @@ sequences may span episodes without leaking history across them.
 The recurrence has one implementation, a sequential scan with an analytic
 adjoint (tensor.linear_recurrence). Training runs it over whole windows from
 the zero state; online stepping runs the same scan over one step, resumed
-from the carried state. Blocks follow pre-norm -> scan -> GELU -> residual,
+from the carried state, with a step context that holds every block's
+parameter-derived maps (lam_bar and the real drive and readout matrices), so
+a step builds none of them. Blocks follow pre-norm -> scan -> GELU -> residual,
 and the stacked internal states double as the deterministic part of a
 world-model state.
 """
@@ -185,25 +187,33 @@ def _as_batched(u, resets):
     return u, resets, squeeze
 
 
-def _drive(u: Tensor, b_bar: Tensor) -> Tensor:
-    """Input drive b_bar @ u_t for all steps at once: (B,T,H) -> (B,T,P,2).
+def block_maps(params: S5Params) -> tuple[Tensor, Tensor, Tensor]:
+    """(lam_bar, b_real, c_real): the ZOH diagonal and the scan's real matrices.
 
-    b_bar (P,H,2) is laid out as one real (H, 2P) matrix whose columns
-    interleave (re, im) per state, the layout of the (P, 2) pair axis.
+    b_real (H, 2P) is b_bar with columns interleaving (re, im) per state, the
+    layout of the (P, 2) pair axis; c_real (2P, H) is C with rows interleaving
+    (Re C, -Im C), so Re(C x) is one real matmul over interleaved x. All
+    three depend on parameters only.
     """
-    bsz, t, h = u.shape
-    p = b_bar.shape[0]
+    p, h = params.state_dim, params.width
+    lam_bar, b_bar = discretize(params)
     b_real = reshape(transpose(b_bar, (1, 0, 2)), (h, 2 * p))
-    return reshape(matmul(reshape(u, (bsz * t, h)), b_real), (bsz, t, p, 2))
+    c_real = reshape(transpose(mul(params.c_mat, Tensor(np.array([1.0, -1.0]))), (1, 2, 0)), (2 * p, h))
+    return lam_bar, b_real, c_real
 
 
-def _readout(x: Tensor, u: Tensor, params: S5Params) -> Tensor:
+def _drive(u: Tensor, b_real: Tensor) -> Tensor:
+    """Input drive b_bar @ u_t for all steps at once: (B,T,H) -> (B,T,P,2)."""
+    bsz, t, h = u.shape
+    return reshape(matmul(reshape(u, (bsz * t, h)), b_real), (bsz, t, b_real.shape[1] // 2, 2))
+
+
+def _readout(x: Tensor, u: Tensor, c_real: Tensor, d_vec: Tensor) -> Tensor:
     """y_t = Re(C x_t) + D u_t, as one real matmul over interleaved (re, im) rows."""
     bsz, t, p, _ = x.shape
-    h = params.width
-    c_real = reshape(transpose(mul(params.c_mat, Tensor(np.array([1.0, -1.0]))), (1, 2, 0)), (2 * p, h))
+    h = c_real.shape[1]
     y = matmul(reshape(x, (bsz * t, 2 * p)), c_real)
-    y = add(y, mul(reshape(u, (bsz * t, h)), params.d_vec))
+    y = add(y, mul(reshape(u, (bsz * t, h)), d_vec))
     return reshape(y, (bsz, t, h))
 
 
@@ -211,21 +221,21 @@ def scan_sequential(
     params: S5Params,
     u: Tensor,
     resets,
-    discretized: tuple[Tensor, Tensor] | None = None,
+    maps: tuple[Tensor, Tensor, Tensor] | None = None,
     x0: Tensor | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Recurrent scan. u: (T,H) or (B,T,H); resets: bool per step.
 
     Returns internal states x ((B,)T,P,2) and outputs y ((B,)T,H). A reset at
     step t zeroes the carried state before that step's update. The scan starts
-    from x0 (B,P,2) when given (batched u only), else from zero; discretized
-    is a precomputed discretize(params), recomputed when None.
+    from x0 (B,P,2) when given (batched u only), else from zero; maps is a
+    precomputed block_maps(params), built here when None.
     """
     u, resets, squeeze = _as_batched(u, resets)
-    lam_bar, b_bar = discretize(params) if discretized is None else discretized
+    lam_bar, b_real, c_real = block_maps(params) if maps is None else maps
     gates = 1.0 - resets.astype(np.float64)
-    x = linear_recurrence(lam_bar, _drive(u, b_bar), gates, x0)
-    y = _readout(x, u, params)
+    x = linear_recurrence(lam_bar, _drive(u, b_real), gates, x0)
+    y = _readout(x, u, c_real, params.d_vec)
     if squeeze:
         return reshape(x, x.shape[1:]), reshape(y, y.shape[1:])
     return x, y
@@ -287,9 +297,13 @@ class S5Stack:
             return reshape(m, m.shape[1:]), reshape(h, h.shape[1:])
         return m, h
 
-    def discretized(self) -> list[tuple[Tensor, Tensor]]:
-        """Per-block ZOH coefficients; step() callers reuse them across steps."""
-        return [discretize(blk.s5) for blk in self.blocks]
+    def discretized(self) -> list[tuple[Tensor, Tensor, Tensor]]:
+        """The step context: per block (lam_bar, b_real, c_real) from block_maps.
+
+        It depends on parameters only; step() callers build it once and reuse
+        it over many steps, and rebuild it after every parameter update.
+        """
+        return [block_maps(blk.s5) for blk in self.blocks]
 
     def initial_state(self, batch: int) -> np.ndarray:
         """Zero packed state (the reset target), in the layout step() expects."""
@@ -300,14 +314,15 @@ class S5Stack:
         h_prev: Tensor,
         u: Tensor,
         reset: np.ndarray,
-        discretized: list[tuple[Tensor, Tensor]] | None = None,
+        discretized: list[tuple[Tensor, Tensor, Tensor]] | None = None,
     ) -> tuple[Tensor, Tensor]:
         """One online step: the sequence pass at T=1, resumed from h_prev.
 
         h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
         forward() returns; u: (B,H); reset: (B,) bool drops h_prev. The return
-        is (m, h) with h in the same packed layout. discretized defaults to
-        self.discretized(); pass it in to reuse it over many steps.
+        is (m, h) with h in the same packed layout. discretized is the step
+        context, self.discretized() when None; pass it in to reuse it over
+        many steps.
         """
         if discretized is None:
             discretized = self.discretized()

@@ -1,9 +1,11 @@
 """Minimal float64 tensor library with reverse-mode automatic differentiation.
 
 Everything downstream (state-space layers, world models, policies) is built on
-this fixed op set. Tensors hold real float64 arrays; complex values are stored
-as (re, im) pairs in a trailing axis of size 2 and manipulated through the
-dedicated complex_* ops, which keeps the whole engine real-valued.
+this fixed op set. Three layers are single graph nodes with analytic VJPs:
+affine (x @ w + b), layer_norm and linear_recurrence. Tensors hold real
+float64 arrays; complex values are stored as (re, im) pairs in a trailing axis
+of size 2 and manipulated through the dedicated complex_* ops, which keeps the
+whole engine real-valued.
 
 Graphs are write-once: a backward pass consumes the graph and a second call on
 the same loss raises. Forward passes are pure, so tensors may be shared
@@ -29,6 +31,8 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
+    "affine",
+    "layer_norm",
     "exp",
     "log",
     "tanh",
@@ -46,7 +50,6 @@ __all__ = [
     "real_part",
     "straight_through",
     "l2_norm",
-    "dot",
     "linear_recurrence",
     "backward",
     "grad_check",
@@ -176,11 +179,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,10 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -199,8 +201,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise _broadcast_error("mul", a, b) from None
 
     def vjp(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -323,16 +327,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def dot(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    """Inner product along one axis (batched over the rest)."""
-    _check_broadcast(a, b, "dot")
-    out = (a.data * b.data).sum(axis=axis)
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: x (N, n_in), w (n_in, n_out), b (n_out,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: widths differ, {x.shape} @ {w.shape} + {b.shape}")
+    out = x.data @ w.data + b.data
 
     def vjp(g):
-        gg = np.expand_dims(g, axis)
-        return _unbroadcast(gg * b.data, a.shape), _unbroadcast(gg * a.data, b.shape)
+        gx = g @ w.data.T if x.requires_grad else None
+        return gx, x.data.T @ g, g.sum(axis=0)
 
-    return _make(out, (a, b), vjp)
+    return _make(out, (x, w, b), vjp)
+
+
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * scale + shift over the trailing axis, as one node.
+
+    The forward pass takes 1/sqrt as exp(-0.5 * log(.)), the expressions of
+    the composed reference graph in the tests, so its values match it bit for
+    bit. The VJP is analytic: dx = inv * (gn - mean(gn) - n * mean(gn * n))
+    with gn = g * scale and n the normalized input.
+    """
+    width = x.shape[-1]
+    if scale.shape != (width,) or shift.shape != (width,):
+        raise ShapeError(f"layer_norm: widths differ, {x.shape} vs scale {scale.shape}, shift {shift.shape}")
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = np.exp(-0.5 * np.log(var + eps))
+    normed = centered * inv
+    out = normed * scale.data + shift.data
+
+    def vjp(g):
+        rows = g.reshape(-1, width)
+        gn = g * scale.data
+        gx = inv * (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True))
+        return gx, (rows * normed.reshape(-1, width)).sum(axis=0), rows.sum(axis=0)
+
+    return _make(out, (x, scale, shift), vjp)
 
 
 def l2_norm(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -426,9 +457,11 @@ def _pair(z: np.ndarray) -> np.ndarray:
 def complex_mul(a: Tensor, b: Tensor) -> Tensor:
     _check_pair(a, "complex_mul")
     _check_pair(b, "complex_mul")
-    _check_broadcast(a, b, "complex_mul")
     za, zb = _cview(a.data), _cview(b.data)
-    out = _pair(za * zb)
+    try:
+        out = _pair(za * zb)
+    except ValueError:
+        raise _broadcast_error("complex_mul", a, b) from None
 
     def vjp(g):
         zg = _cview(g)

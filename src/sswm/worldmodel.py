@@ -250,7 +250,7 @@ class WorldModel:
     # -- stepwise interface ---------------------------------------------------
 
     def step_context(self):
-        """Precomputed discretization for repeated online stepping."""
+        """The S5 step context (per block lam_bar, b_real, c_real), reused over many online steps."""
         return self.stack.discretized()
 
     def wm_step(

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sswm import agent as agent_module
 from sswm.agent import build_agent, subgoal_reward
 from sswm.envs import make_env
 from sswm.replay import EtbsSampler
-from sswm.tensor import make_rng
+from sswm.tensor import Tensor, make_rng, no_grad
 
 TINY = dict(
     wm_kwargs=dict(n_cats=2, n_classes=4, model_dim=8, state_dim=4, mlp_units=8),
@@ -111,3 +112,53 @@ def test_same_seed_gives_identical_runs():
     assert {level for level, *_ in reports} == {0, 1}
     assert reports == reports_again
     np.testing.assert_array_equal(states, states_again)
+
+
+def test_actor_features_built_once_per_rollout(monkeypatch):
+    env, agent = tiny_agent(6, depth=1, k=2)
+    drive(agent, env, 12)
+    lvl, horizon = agent.levels[0], 3
+    features, imagine, reinforce_loss = lvl._features, lvl.wm.imagine, agent_module.reinforce_loss
+    calls, seen = [], {}
+
+    def counting_features(*args):
+        calls.append(args)
+        return features(*args)
+
+    def recording_imagine(*args, **kwargs):
+        seen["traj"] = imagine(*args, **kwargs)
+        return seen["traj"]
+
+    def recording_loss(ac, feats, *args):
+        seen["feats"] = feats
+        return reinforce_loss(ac, feats, *args)
+
+    monkeypatch.setattr(lvl, "_features", counting_features)
+    monkeypatch.setattr(lvl.wm, "imagine", recording_imagine)
+    monkeypatch.setattr(agent_module, "reinforce_loss", recording_loss)
+    assert lvl.train_step(2, 3, EtbsSampler(0.3), horizon, make_rng(6, stream=2)) is not None
+    assert len(calls) == horizon + 1
+    # the features the loss sees equal those rebuilt from the finished rollout, state by state
+    traj, goal_vec = seen["traj"], lvl.goal_feature()
+    for t in range(horizon + 1):
+        ref = features(traj["h"][:, t], traj["z"][:, t], goal_vec, traj["reward"][:, t], traj["cont"][:, t], traj["entropy"][:, t])
+        np.testing.assert_array_equal(seen["feats"][:, t], ref)
+
+
+def test_step_context_follows_train_step():
+    env, agent = tiny_agent(7, depth=1, k=2)
+    drive(agent, env, 12)
+    lvl = agent.levels[0]
+    stale = lvl._ctx
+    assert stale is not None
+    assert lvl.train_step(2, 3, EtbsSampler(0.3), 2, make_rng(7, stream=2)) is not None
+
+    def step_h(ctx):
+        with no_grad():
+            _, h = lvl.wm.wm_step(Tensor(lvl.h), Tensor(lvl.z), Tensor(lvl.a_prev), np.array([False]), ctx)
+        return h.data
+
+    fresh, old = step_h(lvl.wm.stack.discretized()), step_h(stale)
+    assert not np.array_equal(fresh, old)  # the update moved the step maps
+    lvl.advance(np.zeros(env.obs_dim), 0.0, 1.0, False, 0, make_rng(7, stream=3))
+    np.testing.assert_array_equal(lvl.h, fresh)

@@ -78,11 +78,20 @@ def test_backward_linearity():
     np.testing.assert_allclose(x1.grad, xa.grad + xb.grad, rtol=1e-12)
 
 
-def test_shape_error_names_shapes():
-    with pytest.raises(ShapeError, match="matmul"):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-    with pytest.raises(ShapeError, match="add"):
-        T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+SHAPE_ERRORS = {
+    "matmul": lambda: T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2)))),
+    "add": lambda: T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))),
+    "mul": lambda: T.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))),
+    "complex_mul": lambda: T.complex_mul(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((4, 2)))),
+    "affine": lambda: T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4))),
+    "layer_norm": lambda: T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(3)), 1e-6),
+}
+
+
+@pytest.mark.parametrize("op", list(SHAPE_ERRORS))
+def test_shape_error_names_shapes(op):
+    with pytest.raises(ShapeError, match=rf"^{op}: .*\(2, 3"):
+        SHAPE_ERRORS[op]()
 
 
 def test_no_grad_blocks_recording():
@@ -118,8 +127,11 @@ OP_CASES = {
     "mean": lambda a, b: T.tsum(T.tmean(T.mul(a, b), axis=0)),
     "concat": lambda a, b: T.tsum(T.mul(T.concat([a, b], axis=1), T.concat([b, a], axis=1))),
     "slice": lambda a, b: T.tsum(T.mul(T.tslice(a, (slice(1, 3), slice(None))), T.tslice(b, (slice(0, 2), slice(None))))),
+    "affine": lambda a, b: T.tsum(T.tanh(T.affine(a, T.transpose(b, (1, 0)), T.tslice(a, (1, slice(0, 3)))))),
+    "layer_norm": lambda a, b: T.tsum(
+        T.mul(T.layer_norm(a, T.tslice(b, (0, slice(None))), T.tslice(b, (1, slice(None))), 1e-6), b)
+    ),
     "l2_norm": lambda a, b: T.l2_norm(T.add(T.mul(a, b), Tensor(np.full((3, 4), 0.1)))),
-    "dot": lambda a, b: T.tsum(T.dot(a, b, axis=-1)),
     "reshape": lambda a, b: T.tsum(T.mul(T.reshape(a, (4, 3)), T.reshape(b, (4, 3)))),
     "transpose": lambda a, b: T.tsum(T.mul(T.transpose(a, (1, 0)), T.transpose(b, (1, 0)))),
 }
@@ -176,6 +188,67 @@ def test_linear_recurrence_gradients():
         report = grad_check(fn, leaves, epsilon=1e-5)
         worst = max(worst, report.max_rel_err)
     assert worst < 1e-5, f"linear_recurrence rel err {worst}"
+
+
+# ---------------------------------------------------------------------------
+# fused nodes against the composed graphs they replace
+# ---------------------------------------------------------------------------
+
+
+def _affine_reference(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def _layer_norm_reference(x, scale, shift, eps):
+    """The composed 12-node LayerNorm graph: 1/sqrt(var + eps) as exp(-0.5 * log(.))."""
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = T.add(x, T.neg(mu))
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = T.exp(T.mul(Tensor(-0.5), T.log(T.add(var, Tensor(eps)))))
+    return T.add(T.mul(T.mul(centered, inv), scale), shift)
+
+
+def _value_and_grads(fn, leaves, weight):
+    for leaf in leaves:
+        leaf.zero_grad()
+    out = fn(*leaves)
+    backward(T.tsum(T.mul(out, Tensor(weight))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def test_affine_matches_composed_reference():
+    for seed in range(20):
+        rng = make_rng(4000 + seed)
+        n, n_in, n_out = 1 + seed % 6, 3 + seed % 4, 2 + seed % 5
+        # odd seeds feed a constant input, whose gradient the fused node skips
+        x = Tensor(rng.uniform(-2.0, 2.0, size=(n, n_in)), requires_grad=seed % 2 == 0)
+        leaves = [x, _leaf(rng, (n_in, n_out)), _leaf(rng, (n_out,))]
+        weight = rng.normal(size=(n, n_out))
+        out, grads = _value_and_grads(T.affine, leaves, weight)
+        ref_out, ref_grads = _value_and_grads(_affine_reference, leaves, weight)
+        np.testing.assert_array_equal(out, ref_out)
+        assert (grads[0] is None) == (ref_grads[0] is None) == (seed % 2 == 1)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+
+def test_layer_norm_matches_composed_reference():
+    # Widths from 3: at width 2 every normalized row is (-1, 1) up to eps, so
+    # the x gradient is a cancellation of terms some 1e8 times larger, and
+    # both graphs carry their roundoff there (1e-10 of it, either way).
+    fused = lambda x, s, b: T.layer_norm(x, s, b, 1e-6)  # noqa: E731
+    reference = lambda x, s, b: _layer_norm_reference(x, s, b, 1e-6)  # noqa: E731
+    for seed in range(20):
+        rng = make_rng(5000 + seed)
+        n, width = 1 + seed % 6, 3 + seed % 7
+        x = Tensor(rng.normal(rng.uniform(-3, 3), rng.uniform(0.01, 3), size=(n, width)), requires_grad=True)
+        leaves = [x, _leaf(rng, (width,)), _leaf(rng, (width,))]
+        weight = rng.normal(size=(n, width))
+        out, grads = _value_and_grads(fused, leaves, weight)
+        ref_out, ref_grads = _value_and_grads(reference, leaves, weight)
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_grad_check_cubic():
