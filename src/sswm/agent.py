@@ -124,10 +124,7 @@ class ActorCritic:
         with no_grad():
             probs = self.policy_probs(Tensor(feats)).data
         if greedy:
-            idx = probs.argmax(axis=-1)
-            out = np.zeros_like(probs)
-            np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-            return out
+            return dists.one_hot(probs.argmax(axis=-1), probs.shape[-1])
         return dists.sample_one_hot(probs, rng)
 
     def log_prob_entropy(self, feats: Tensor, actions: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -301,9 +298,7 @@ class Subactor:
         """Pick an action one-hot matrix and remember it as a_prev."""
         g, k = self.cfg.ac.action_groups, self.cfg.ac.action_classes
         if random_action:
-            flat_idx = rng.integers(k, size=(1, g))
-            onehot = np.zeros((1, g, k))
-            np.put_along_axis(onehot, flat_idx[..., None], 1.0, axis=-1)
+            onehot = dists.one_hot(rng.integers(k, size=(1, g)), k)
         else:
             onehot = self.ac.act(feats, rng, greedy=greedy)
         self.a_prev = onehot.reshape(1, -1)

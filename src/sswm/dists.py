@@ -6,6 +6,9 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _make,
+    _softmax,
+    _softmax_vjp,
     add,
     concat,
     log,
@@ -13,7 +16,6 @@ from .tensor import (
     mul,
     neg,
     reshape,
-    softmax,
     straight_through,
     tsum,
 )
@@ -28,12 +30,20 @@ def symexp_np(x: np.ndarray) -> np.ndarray:
 
 
 def unimix_probs(logits: Tensor, unimix: float) -> Tensor:
-    """Softmax over the trailing axis mixed with a uniform floor."""
-    p = softmax(logits, axis=-1)
-    if unimix <= 0.0:
-        return p
-    k = logits.shape[-1]
-    return add(mul(p, Tensor(1.0 - unimix)), Tensor(np.full(k, unimix / k)))
+    """Softmax over the trailing axis mixed with a uniform floor, as one node.
+
+    p * (1 - unimix) + unimix / k; its VJP is the softmax VJP of the output
+    gradient scaled by (1 - unimix).
+    """
+    p = _softmax(logits.data, -1)
+    keep = 1.0 - unimix
+    out = p * keep + unimix / logits.shape[-1]
+    return _make(out, (logits,), lambda g: (_softmax_vjp(p, g * keep, -1),))
+
+
+def one_hot(idx: np.ndarray, k: int) -> np.ndarray:
+    """Float one-hot rows of width k for integer class indices: (...,) -> (..., k)."""
+    return (idx[..., None] == np.arange(k)).astype(np.float64)
 
 
 def sample_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -41,10 +51,7 @@ def sample_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cum = probs.cumsum(axis=-1)
     cum[..., -1] = 1.0  # guard rounding
     u = rng.random(probs.shape[:-1] + (1,))
-    idx = (u > cum).sum(axis=-1)
-    out = np.zeros_like(probs)
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return out
+    return one_hot((u > cum).sum(axis=-1), probs.shape[-1])
 
 
 def sample_straight_through(probs: Tensor, rng: np.random.Generator) -> Tensor:

@@ -180,13 +180,16 @@ class ExperienceDataset:
         self.episode[i] = episode_id
         self.n = i + 1
 
-    def reset_flags(self, start: int, length: int) -> np.ndarray:
-        """True where a record begins a new episode, within [start, start+length)."""
-        idx = np.arange(start, start + length)
-        flags = np.empty(length, dtype=bool)
-        flags[0] = start == 0 or self.episode[start] != self.episode[start - 1]
-        if length > 1:
-            flags[1:] = self.episode[idx[1:]] != self.episode[idx[:-1]]
+    def reset_flags(self, starts: np.ndarray, length: int) -> np.ndarray:
+        """(len(starts), length) bools: True where a record begins a new episode.
+
+        Row i covers the window [starts[i], starts[i] + length).
+        """
+        starts = np.asarray(starts)
+        episode = self.episode[starts[:, None] + np.arange(length)]
+        flags = np.empty(episode.shape, dtype=bool)
+        flags[:, 0] = (starts == 0) | (episode[:, 0] != self.episode[starts - 1])
+        flags[:, 1:] = episode[:, 1:] != episode[:, :-1]
         return flags
 
     def sample_batch(self, rng: np.random.Generator, batch: int, length: int, sampler):
@@ -207,7 +210,7 @@ class ExperienceDataset:
             "action": self.action[gather],
             "reward": self.reward[gather],
             "cont": self.cont[gather],
-            "reset": np.stack([self.reset_flags(s, length) for s in starts]),
+            "reset": self.reset_flags(starts, length),
             "start": starts,
         }
 

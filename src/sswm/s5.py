@@ -11,9 +11,12 @@ adjoint (tensor.linear_recurrence). Training runs it over whole windows from
 the zero state; online stepping runs the same scan over one step, resumed
 from the carried state, with a step context that holds every block's
 parameter-derived maps (lam_bar and the real drive and readout matrices), so
-a step builds none of them. Blocks follow pre-norm -> scan -> GELU -> residual,
-and the stacked internal states double as the deterministic part of a
-world-model state.
+a step builds none of them. States stay in one packed real layout, each row
+[Re x | Im x] of width 2P, from the drive through the scan to the readout;
+concatenated over blocks, they are the deterministic part h_t of a
+world-model state. A block is pre-norm -> drive matmul -> scan -> readout
+matmul plus D feedthrough -> GELU -> residual add, eight graph nodes with no
+reshape or transpose between them.
 """
 
 from __future__ import annotations
@@ -190,31 +193,16 @@ def _as_batched(u, resets):
 def block_maps(params: S5Params) -> tuple[Tensor, Tensor, Tensor]:
     """(lam_bar, b_real, c_real): the ZOH diagonal and the scan's real matrices.
 
-    b_real (H, 2P) is b_bar with columns interleaving (re, im) per state, the
-    layout of the (P, 2) pair axis; c_real (2P, H) is C with rows interleaving
-    (Re C, -Im C), so Re(C x) is one real matmul over interleaved x. All
-    three depend on parameters only.
+    Both matrices follow the packed [Re x | Im x] state layout: b_real (H, 2P)
+    holds the columns [Re b_bar^T | Im b_bar^T], so u @ b_real is the packed
+    drive b_bar u; c_real (2P, H) holds the rows [Re C^T ; -Im C^T], so
+    x @ c_real is Re(C x) for a packed x. All three depend on parameters only.
     """
     p, h = params.state_dim, params.width
     lam_bar, b_bar = discretize(params)
-    b_real = reshape(transpose(b_bar, (1, 0, 2)), (h, 2 * p))
-    c_real = reshape(transpose(mul(params.c_mat, Tensor(np.array([1.0, -1.0]))), (1, 2, 0)), (2 * p, h))
+    b_real = reshape(transpose(b_bar, (1, 2, 0)), (h, 2 * p))
+    c_real = reshape(transpose(mul(params.c_mat, Tensor(np.array([1.0, -1.0]))), (2, 1, 0)), (2 * p, h))
     return lam_bar, b_real, c_real
-
-
-def _drive(u: Tensor, b_real: Tensor) -> Tensor:
-    """Input drive b_bar @ u_t for all steps at once: (B,T,H) -> (B,T,P,2)."""
-    bsz, t, h = u.shape
-    return reshape(matmul(reshape(u, (bsz * t, h)), b_real), (bsz, t, b_real.shape[1] // 2, 2))
-
-
-def _readout(x: Tensor, u: Tensor, c_real: Tensor, d_vec: Tensor) -> Tensor:
-    """y_t = Re(C x_t) + D u_t, as one real matmul over interleaved (re, im) rows."""
-    bsz, t, p, _ = x.shape
-    h = c_real.shape[1]
-    y = matmul(reshape(x, (bsz * t, 2 * p)), c_real)
-    y = add(y, mul(reshape(u, (bsz * t, h)), d_vec))
-    return reshape(y, (bsz, t, h))
 
 
 def scan_sequential(
@@ -226,16 +214,17 @@ def scan_sequential(
 ) -> tuple[Tensor, Tensor]:
     """Recurrent scan. u: (T,H) or (B,T,H); resets: bool per step.
 
-    Returns internal states x ((B,)T,P,2) and outputs y ((B,)T,H). A reset at
-    step t zeroes the carried state before that step's update. The scan starts
-    from x0 (B,P,2) when given (batched u only), else from zero; maps is a
-    precomputed block_maps(params), built here when None.
+    Returns packed internal states x ((B,)T,2P), each row [Re x_t | Im x_t],
+    and outputs y_t = Re(C x_t) + D u_t ((B,)T,H). A reset at step t zeroes
+    the carried state before that step's update. The scan starts from x0
+    (B,2P), packed alike, when given (batched u only), else from zero; maps is
+    a precomputed block_maps(params), built here when None.
     """
     u, resets, squeeze = _as_batched(u, resets)
     lam_bar, b_real, c_real = block_maps(params) if maps is None else maps
     gates = 1.0 - resets.astype(np.float64)
-    x = linear_recurrence(lam_bar, _drive(u, b_real), gates, x0)
-    y = _readout(x, u, c_real, params.d_vec)
+    x = linear_recurrence(lam_bar, matmul(u, b_real), gates, x0)
+    y = add(matmul(x, c_real), mul(u, params.d_vec))
     if squeeze:
         return reshape(x, x.shape[1:]), reshape(y, y.shape[1:])
     return x, y
@@ -275,18 +264,16 @@ class S5Stack:
         return out
 
     def _run(self, u: Tensor, resets: np.ndarray, discretized, x0s) -> tuple[Tensor, Tensor]:
-        """Every block over (B,T,H) inputs from per-block start states x0s.
+        """Every block over (B,T,H) inputs from per-block packed start states x0s.
 
         Returns the last block's outputs m and the packed states: per block
         [Re x_t | Im x_t], concatenated over blocks into (B, T, n_blocks*2P).
         """
-        bsz, t, _ = u.shape
         h_parts = []
         for blk, disc, x0 in zip(self.blocks, discretized, x0s):
-            v = blk.norm(reshape(u, (bsz * t, self.width)))
-            x, y = scan_sequential(blk.s5, reshape(v, (bsz, t, self.width)), resets, disc, x0)
-            u = add(u, reshape(gelu(reshape(y, (bsz * t, self.width))), (bsz, t, self.width)))
-            h_parts.append(reshape(transpose(x, (0, 1, 3, 2)), (bsz, t, 2 * self.state_dim)))
+            x, y = scan_sequential(blk.s5, blk.norm(u), resets, disc, x0)
+            u = add(u, gelu(y))
+            h_parts.append(x)
         return u, concat(h_parts, axis=2)
 
     def forward(self, u: Tensor, resets) -> tuple[Tensor, Tensor]:
@@ -319,17 +306,16 @@ class S5Stack:
         """One online step: the sequence pass at T=1, resumed from h_prev.
 
         h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
-        forward() returns; u: (B,H); reset: (B,) bool drops h_prev. The return
+        forward() returns, and each block resumes from its own slice of it;
+        u: (B,H); reset: (B,) bool drops h_prev. The return
         is (m, h) with h in the same packed layout. discretized is the step
         context, self.discretized() when None; pass it in to reuse it over
         many steps.
         """
         if discretized is None:
             discretized = self.discretized()
-        bsz = u.shape[0]
-        n, p = len(self.blocks), self.state_dim
-        x_prev = transpose(reshape(h_prev, (bsz, n, 2, p)), (0, 1, 3, 2))  # (B, n, P, 2)
-        x0s = [tslice(x_prev, (slice(None), i)) for i in range(n)]
+        bsz, w = u.shape[0], 2 * self.state_dim
+        x0s = [tslice(h_prev, (slice(None), slice(i * w, (i + 1) * w))) for i in range(len(self.blocks))]
         resets = np.asarray(reset, dtype=bool).reshape(bsz, 1)
         m, h = self._run(reshape(u, (bsz, 1, self.width)), resets, discretized, x0s)
-        return reshape(m, (bsz, self.width)), reshape(h, (bsz, n * 2 * p))
+        return reshape(m, (bsz, self.width)), reshape(h, (bsz, len(self.blocks) * w))

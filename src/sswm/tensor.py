@@ -3,9 +3,10 @@
 Everything downstream (state-space layers, world models, policies) is built on
 this fixed op set. Three layers are single graph nodes with analytic VJPs:
 affine (x @ w + b), layer_norm and linear_recurrence. Tensors hold real
-float64 arrays; complex values are stored as (re, im) pairs in a trailing axis
-of size 2 and manipulated through the dedicated complex_* ops, which keeps the
-whole engine real-valued.
+float64 arrays, so the whole engine is real-valued. Complex values take one of
+two layouts: (re, im) pairs in a trailing axis of size 2, which the complex_*
+ops manipulate, or a trailing axis of width 2P packing [Re x | Im x], the
+layout of linear_recurrence's drive and states (P complex values per row).
 
 Graphs are write-once: a backward pass consumes the graph and a second call on
 the same loss raises. Forward passes are pure, so tensors may be shared
@@ -243,16 +244,19 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Input gradient of a softmax with output `out` under output gradient g."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _make(out, (a,), vjp)
+    out = _softmax(a.data, axis)
+    return _make(out, (a,), lambda g: (_softmax_vjp(out, g, axis),))
 
 
 def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -307,19 +311,31 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: only 1-D/2-D operands, got {a.shape} @ {b.shape}")
+    """a @ b for 1-D and 2-D operands, and (..., k) @ (k, m) -> (..., m).
+
+    An a of more than two dims is flattened to rows (..., k) -> (N, k), so
+    the product is one 2-D matmul whatever the leading shape.
+    """
+    if a.data.ndim == 0 or b.data.ndim not in (1, 2) or (a.data.ndim > 2 and b.data.ndim != 2):
+        raise ShapeError(f"matmul: only 1-D/2-D or (..., k) @ (k, m) operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    if a.data.ndim >= 2 and b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def vjp(g):
+            g_rows = g.reshape(-1, b.shape[1])
+            return (g_rows @ b.data.T).reshape(a.shape), rows.T @ g_rows
+
+        return _make(out, (a, b), vjp)
     out = a.data @ b.data
 
     def vjp(g):
         ad, bd = a.data, b.data
         if ad.ndim == 1 and bd.ndim == 1:  # dot product
             return g * bd, g * ad
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:  # (n,k)@(k,) -> (n,)
+        if ad.ndim == 2:  # (n,k)@(k,) -> (n,)
             return np.outer(g, bd), ad.T @ g
         # (k,)@(k,m) -> (m,)
         return bd @ g, np.outer(ad, g)
@@ -351,8 +367,9 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     width = x.shape[-1]
     if scale.shape != (width,) or shift.shape != (width,):
         raise ShapeError(f"layer_norm: widths differ, {x.shape} vs scale {scale.shape}, shift {shift.shape}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    # Each mean is the sum and division numpy's mean runs, without its wrapper.
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / width
+    var = (centered * centered).sum(axis=-1, keepdims=True) / width
     inv = np.exp(-0.5 * np.log(var + eps))
     normed = centered * inv
     out = normed * scale.data + shift.data
@@ -360,7 +377,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     def vjp(g):
         rows = g.reshape(-1, width)
         gn = g * scale.data
-        gx = inv * (gn - gn.mean(axis=-1, keepdims=True) - normed * (gn * normed).mean(axis=-1, keepdims=True))
+        gn_mean = gn.sum(axis=-1, keepdims=True) / width
+        gx = inv * (gn - gn_mean - normed * ((gn * normed).sum(axis=-1, keepdims=True) / width))
         return gx, (rows * normed.reshape(-1, width)).sum(axis=0), rows.sum(axis=0)
 
     return _make(out, (x, scale, shift), vjp)
@@ -391,16 +409,10 @@ def l2_norm(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
-        grads = []
-        for i in range(len(tensors)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
-        return tuple(grads)
+        ends = np.cumsum([t.shape[axis] for t in tensors])
+        return tuple(np.split(g, ends[:-1], axis=axis))
 
     return _make(out, tuple(tensors), vjp)
 
@@ -506,37 +518,52 @@ def straight_through(value: np.ndarray, carrier: Tensor) -> Tensor:
     return _make(np.asarray(value, dtype=np.float64), (carrier,), lambda g: (g,))
 
 
+def _unpack(x: np.ndarray) -> np.ndarray:
+    """Complex values of a packed (..., 2P) [Re | Im] array, as (..., P) complex128."""
+    p = x.shape[-1] // 2
+    z = np.empty(x.shape[:-1] + (p,), dtype=np.complex128)
+    z.real = x[..., :p]
+    z.imag = x[..., p:]
+    return z
+
+
+def _pack(z: np.ndarray) -> np.ndarray:
+    """Packed (..., 2P) [Re | Im] array of (..., P) complex values."""
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
 def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor | None = None) -> Tensor:
     """Gated diagonal complex recurrence x_t = gate_t * lam * x_{t-1} + drive_t.
 
-    lam: (P, 2), drive: (B, T, P, 2), gates: (B, T) float 0/1 array (constant,
-    0 resets the state). Returns x: (B, T, P, 2), starting from the carried
-    state x0: (B, P, 2), or from zero when x0 is None; a gate of 0 at t=0
-    drops x0. The whole scan is one graph node with an analytically derived
-    adjoint, which is exactly backpropagation through time over the unrolled
-    recurrence; x0's adjoint is the accumulator carried past t=0,
-    gate_0 * conj(lam) * acc_0.
+    lam: (P, 2) (re, im) pairs; drive: (B, T, 2P), each row packing
+    [Re drive_t | Im drive_t]; gates: (B, T) float 0/1 array (constant, 0
+    resets the state). Returns x: (B, T, 2P) in the same packed layout,
+    starting from the carried state x0: (B, 2P), packed alike, or from zero
+    when x0 is None; a gate of 0 at t=0 drops x0. The whole scan is one graph
+    node with an analytically derived adjoint, which is exactly
+    backpropagation through time over the unrolled recurrence; x0's adjoint is
+    the accumulator carried past t=0, gate_0 * conj(lam) * acc_0.
     """
     _check_pair(lam, "linear_recurrence")
-    _check_pair(drive, "linear_recurrence")
-    if drive.data.ndim != 4:
-        raise ShapeError(f"linear_recurrence: drive must be (B,T,P,2), got {drive.shape}")
-    B, T, P, _ = drive.shape
+    P = lam.shape[0]
+    if drive.data.ndim != 3 or drive.shape[2] != 2 * P:
+        raise ShapeError(f"linear_recurrence: drive must be (B,T,{2 * P}), got {drive.shape}")
+    B, T, _ = drive.shape
     if gates.shape != (B, T):
         raise ShapeError(f"linear_recurrence: gates must be {(B, T)}, got {gates.shape}")
-    if x0 is not None and x0.shape != (B, P, 2):
-        raise ShapeError(f"linear_recurrence: x0 must be {(B, P, 2)}, got {x0.shape}")
+    if x0 is not None and x0.shape != (B, 2 * P):
+        raise ShapeError(f"linear_recurrence: x0 must be {(B, 2 * P)}, got {x0.shape}")
     lamc = _cview(lam.data)  # (P,)
-    dc = _cview(drive.data)  # (B, T, P)
+    dc = _unpack(drive.data)  # (B, T, P)
     gt = gates[..., None]  # (B, T, 1)
     xs = np.empty((B, T, P), dtype=np.complex128)
-    x = x_init = 0.0 if x0 is None else _cview(x0.data)
+    x = x_init = 0.0 if x0 is None else _unpack(x0.data)
     for t in range(T):
         x = gt[:, t] * (lamc * x) + dc[:, t]
         xs[:, t] = x
 
     def vjp(g):
-        w = _cview(g)  # adjoint of xs, (B, T, P)
+        w = _unpack(g)  # adjoint of xs, (B, T, P)
         lam_conj = np.conj(lamc)
         gd = np.empty_like(xs)
         glam = np.zeros(P, dtype=np.complex128)
@@ -547,10 +574,10 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor 
             x_prev = xs[:, t - 1] if t > 0 else x_init
             glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
             acc = gt[:, t] * lam_conj * acc
-        return (_pair(glam), _pair(gd), _pair(acc))[: len(parents)]
+        return (_pair(glam), _pack(gd), _pack(acc))[: len(parents)]
 
     parents = (lam, drive) if x0 is None else (lam, drive, x0)
-    return _make(_pair(xs), parents, vjp)
+    return _make(_pack(xs), parents, vjp)
 
 
 # ---------------------------------------------------------------------------

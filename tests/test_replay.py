@@ -181,9 +181,21 @@ def test_sample_batch_single_records():
 def test_sample_batch_reset_at_boundary():
     ds = fill_dataset(n_episodes=2, ep_len=10)
     # window [5, 15) crosses the episode-1 boundary at global index 10
-    flags = ds.reset_flags(5, 10)
+    flags = ds.reset_flags(np.array([5]), 10)
+    assert flags.shape == (1, 10)
     assert flags.sum() == 1
-    assert flags[5]  # position of global index 10 in the window
+    assert flags[0, 5]  # position of global index 10 in the window
+
+
+def test_reset_flags_match_per_window_loop():
+    ds = fill_dataset(n_episodes=4, ep_len=5)
+    length = 6
+    starts = np.arange(len(ds) - length + 1)
+    want = np.zeros((len(starts), length), dtype=bool)
+    for row, s in enumerate(starts):
+        for j, i in enumerate(range(s, s + length)):
+            want[row, j] = i == 0 or ds.episode[i] != ds.episode[i - 1]
+    np.testing.assert_array_equal(ds.reset_flags(starts, length), want)
 
 
 def test_sample_batch_deterministic():

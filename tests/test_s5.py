@@ -135,12 +135,19 @@ def conv_oracle(params, u, resets=None):
     return x
 
 
+def unpack(x: np.ndarray) -> np.ndarray:
+    """Complex states of a packed (..., 2P) [Re x | Im x] array."""
+    p = x.shape[-1] // 2
+    return x[..., :p] + 1j * x[..., p:]
+
+
 def test_sequential_matches_convolution_oracle():
     rng = make_rng(11)
     params = fresh_params(seed=2, p=4, j=2, h=3)
     u = rng.normal(size=(32, 3))
     x, _ = s5.scan_sequential(params, Tensor(u), np.zeros(32, dtype=bool))
-    got = x.data[..., 0] + 1j * x.data[..., 1]
+    assert x.shape == (32, 8)
+    got = unpack(x.data)
     np.testing.assert_allclose(got, conv_oracle(params, u), atol=1e-10)
 
 
@@ -151,7 +158,7 @@ def test_scan_all_resets_has_no_history():
     _, b_bar = s5.discretize(params)
     bmat = b_bar.data[..., 0] + 1j * b_bar.data[..., 1]
     x, _ = s5.scan_sequential(params, Tensor(u), np.ones(8, dtype=bool))
-    got = x.data[..., 0] + 1j * x.data[..., 1]
+    got = unpack(x.data)
     want = u @ bmat.T
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -194,7 +201,7 @@ def test_reset_at_continuation_start_drops_carried_state():
     rng = make_rng(25)
     params = fresh_params(seed=11)
     u = rng.normal(size=(2, 6, 3))
-    x0 = Tensor(rng.normal(size=(2, 4, 2)))
+    x0 = Tensor(rng.normal(size=(2, 8)))  # packed [Re x | Im x], P=4
     resets = np.zeros((2, 6), dtype=bool)
     resets[0, 0] = True
     x, y = s5.scan_sequential(params, Tensor(u), resets, x0=x0)
@@ -288,3 +295,22 @@ def test_stack_step_matches_sequence():
         m, h = stack.step(h, Tensor(u[:, t]), resets[:, t], disc)
         np.testing.assert_allclose(m.data, m_seq.data[:, t], atol=1e-10)
         np.testing.assert_allclose(h.data, h_seq.data[:, t], atol=1e-10)
+
+
+def test_stack_step_tensor_count(monkeypatch):
+    # a block step is layer_norm, two matmuls, linear_recurrence, mul(d), add,
+    # gelu and the residual add; per step also a slice of h_prev per block,
+    # the concat of the states and three reshapes: 8 * 2 + 2 + 1 + 3 = 22
+    stack = s5.S5Stack(make_rng(0), 32, 16, 2, 2)
+    ctx = stack.discretized()
+    h, u = Tensor(stack.initial_state(1)), Tensor(np.ones((1, 32)))
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    stack.step(h, u, np.array([False]), ctx)
+    assert len(built) <= 22

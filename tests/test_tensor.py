@@ -80,6 +80,7 @@ def test_backward_linearity():
 
 SHAPE_ERRORS = {
     "matmul": lambda: T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2)))),
+    "matmul_nd": lambda: T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2)))),
     "add": lambda: T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))),
     "mul": lambda: T.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))),
     "complex_mul": lambda: T.complex_mul(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((4, 2)))),
@@ -90,7 +91,8 @@ SHAPE_ERRORS = {
 
 @pytest.mark.parametrize("op", list(SHAPE_ERRORS))
 def test_shape_error_names_shapes(op):
-    with pytest.raises(ShapeError, match=rf"^{op}: .*\(2, 3"):
+    # an "_nd" case raises under the name of the op it exercises
+    with pytest.raises(ShapeError, match=rf"^{op.removesuffix('_nd')}: .*\(2, 3"):
         SHAPE_ERRORS[op]()
 
 
@@ -114,6 +116,7 @@ def test_detach_blocks_gradient():
 
 OP_CASES = {
     "matmul": lambda a, b: T.tsum(T.tanh(T.matmul(a, T.transpose(b, (1, 0))))),
+    "matmul_nd": lambda a, b: T.tsum(T.tanh(T.matmul(T.reshape(a, (3, 2, 2)), T.reshape(b, (2, 6))))),
     "add": lambda a, b: T.tsum(T.mul(T.add(a, b), T.add(a, b))),
     "mul": lambda a, b: T.tsum(T.mul(a, b)),
     "neg": lambda a, b: T.tsum(T.neg(T.mul(a, b))),
@@ -175,11 +178,11 @@ def test_linear_recurrence_gradients():
     for seed in range(30):
         rng = make_rng(3000 + seed)
         lam = Tensor(rng.uniform(-0.9, 0.9, size=(3, 2)), requires_grad=True)
-        drive = Tensor(rng.uniform(-1, 1, size=(2, 5, 3, 2)), requires_grad=True)
+        drive = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)), requires_grad=True)  # packed [Re | Im]
         gates = (rng.random((2, 5)) > 0.3).astype(float)
         leaves = {"lam": lam, "drive": drive}
         if seed % 2:  # odd seeds resume from a carried state, itself a leaf
-            leaves["x0"] = Tensor(rng.uniform(-1, 1, size=(2, 3, 2)), requires_grad=True)
+            leaves["x0"] = Tensor(rng.uniform(-1, 1, size=(2, 6)), requires_grad=True)
 
         def fn():
             x = T.linear_recurrence(lam, drive, gates, leaves.get("x0"))

@@ -6,7 +6,7 @@ from scipy import stats
 
 from sswm import dists
 from sswm.s5 import ConfigError
-from sswm.tensor import Tensor, backward, grad_check, make_rng, tsum, mul
+from sswm.tensor import Tensor, add, backward, grad_check, make_rng, mul, softmax, tsum
 from sswm.worldmodel import LatentState, WmConfig, WorldModel
 
 
@@ -85,6 +85,39 @@ def test_straight_through_gradient_equals_probs_path():
     backward(tsum(mul(probs_b, Tensor(weights))))
 
     np.testing.assert_allclose(logits_a.grad, logits_b.grad, atol=1e-12)
+
+
+def _unimix_reference(logits, unimix):
+    """The composed graph the fused node replaces: softmax -> mul -> add."""
+    k = logits.shape[-1]
+    return add(mul(softmax(logits, axis=-1), Tensor(1.0 - unimix)), Tensor(np.full(k, unimix / k)))
+
+
+def test_unimix_probs_matches_composed_reference():
+    for seed in range(20):
+        rng = make_rng(6000 + seed)
+        unimix = (0.0, 0.01, 0.3)[seed % 3]
+        shape = (1 + seed % 5, 1 + seed % 3, 2 + seed % 7)
+        logits = Tensor(rng.normal(0.0, 1.0 + seed % 4, size=shape), requires_grad=True)
+        weight = Tensor(rng.normal(size=shape))
+        out = dists.unimix_probs(logits, unimix)
+        backward(tsum(mul(out, weight)))
+        grad, logits.grad = logits.grad, None
+        ref = _unimix_reference(logits, unimix)
+        backward(tsum(mul(ref, weight)))
+        np.testing.assert_array_equal(out.data, ref.data)
+        assert np.abs(grad - logits.grad).max() <= 1e-12 * np.abs(logits.grad).max()
+
+
+def test_one_hot_matches_put_along_axis():
+    rng = make_rng(7)
+    for shape, k in [((1,), 4), ((1, 3), 5), ((6, 2, 3), 8)]:
+        idx = rng.integers(k, size=shape)
+        want = np.zeros(shape + (k,))
+        np.put_along_axis(want, idx[..., None], 1.0, axis=-1)
+        got = dists.one_hot(idx, k)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sample_rows_exactly_one_hot():
