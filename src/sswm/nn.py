@@ -62,7 +62,12 @@ class LayerNorm:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and global gradient-norm clipping."""
+    """Adam with decoupled weight decay and global gradient-norm clipping.
+
+    A step whose gradient norm is not finite is skipped whole: parameters,
+    moments and the step count t stay as they were, the grads are cleared,
+    and the skip is counted in `skipped`.
+    """
 
     def __init__(
         self,
@@ -82,17 +87,23 @@ class AdamW:
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.t = 0
+        self.skipped = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> float:
         """Apply one update from accumulated grads; returns the raw grad norm."""
-        self.t += 1
         sq = 0.0
         for p in self.params.values():
             if p.grad is not None:
                 sq += float((p.grad * p.grad).sum())
         norm = float(np.sqrt(sq))
+        if not np.isfinite(norm):
+            for p in self.params.values():
+                p.grad = None
+            self.skipped += 1
+            return norm
+        self.t += 1
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)

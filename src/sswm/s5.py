@@ -11,12 +11,14 @@ adjoint (tensor.linear_recurrence). Training runs it over whole windows from
 the zero state; online stepping runs the same scan over one step, resumed
 from the carried state, with a step context that holds every block's
 parameter-derived maps (lam_bar and the real drive and readout matrices), so
-a step builds none of them. States stay in one packed real layout, each row
-[Re x | Im x] of width 2P, from the drive through the scan to the readout;
-concatenated over blocks, they are the deterministic part h_t of a
-world-model state. A block is pre-norm -> drive matmul -> scan -> readout
+a step builds none of them. Complex values have one packed real layout, each
+row [Re x | Im x] of width 2P: the input and output matrices are stored in it,
+the zero-order hold produces lam_bar and the drive matrix in it as two graph
+nodes with analytic VJPs, and states keep it from the drive through the scan
+to the readout; concatenated over blocks, they are the deterministic part h_t
+of a world-model state. A block is pre-norm -> drive matmul -> scan -> readout
 matmul plus D feedthrough -> GELU -> residual add, eight graph nodes with no
-reshape or transpose between them.
+layout conversion between them.
 """
 
 from __future__ import annotations
@@ -26,25 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerNorm
-from .tensor import (
-    Tensor,
-    _pair,
-    add,
-    complex_exp,
-    complex_mul,
-    concat,
-    gelu,
-    linear_recurrence,
-    matmul,
-    mul,
-    neg,
-    reshape,
-    transpose,
-    tslice,
-    tsum,
-    exp,
-    log,
-)
+from .tensor import Tensor, _make, _pack, _unpack, add, concat, gelu, linear_recurrence, matmul, mul, reshape, tslice
 
 
 class ConfigError(ValueError):
@@ -82,9 +66,12 @@ class S5Params:
     """One diagonal SSM layer: recurrence diagonal, input/output maps, timescale.
 
     The continuous diagonal is parameterized as lam = -exp(log_neg_re) + i*im
-    so its real part stays negative under gradient updates. b_mat is the
-    (P, H, 2) complex input matrix, c_mat the (H, P, 2) complex output matrix,
-    d_vec the real feedthrough and log_delta the per-state log timescale.
+    so its real part stays negative under gradient updates. The complex input
+    matrix B (P, H) and output matrix C (H, P) are stored in the packed state
+    layout: b_mat (H, 2P) holds the columns [Re B^T | Im B^T], and c_mat
+    (2P, H) the rows [Re C^T ; -Im C^T], so x @ c_mat is Re(C x) for a packed
+    state x. d_vec is the real feedthrough and log_delta the per-state log
+    timescale.
     """
 
     log_neg_re: Tensor
@@ -101,13 +88,6 @@ class S5Params:
     @property
     def width(self) -> int:
         return self.d_vec.shape[0]
-
-    def lam(self) -> Tensor:
-        """Continuous diagonal as a (P, 2) pair tensor."""
-        p = self.state_dim
-        re = reshape(neg(exp(self.log_neg_re)), (p, 1))
-        im = reshape(self.im, (p, 1))
-        return concat([re, im], axis=1)
 
     def lam_value(self) -> np.ndarray:
         return -np.exp(self.log_neg_re.data) + 1j * self.im.data
@@ -147,62 +127,67 @@ def hippo_n_init(
     for _ in range(blocks):
         b_cols.append(v.conj().T @ rng.normal(0.0, 1.0 / np.sqrt(width), size=(n, width)))
         c_cols.append(rng.normal(0.0, 1.0 / np.sqrt(state_dim), size=(width, n)) @ v)
-    b = np.concatenate(b_cols, axis=0)  # (P, H) complex
-    c = np.concatenate(c_cols, axis=1)  # (H, P) complex
+    b_t = np.concatenate(b_cols, axis=0).T  # B^T, (H, P) complex
+    c_t = np.concatenate(c_cols, axis=1).T  # C^T, (P, H) complex
 
     return S5Params(
         log_neg_re=Tensor(log_neg_re, requires_grad=True),
         im=Tensor(im, requires_grad=True),
-        b_mat=Tensor(_pair(b), requires_grad=True),
-        c_mat=Tensor(_pair(c), requires_grad=True),
+        b_mat=Tensor(np.ascontiguousarray(_pack(b_t)), requires_grad=True),
+        c_mat=Tensor(np.ascontiguousarray(np.concatenate([c_t.real, -c_t.imag], axis=0)), requires_grad=True),
         d_vec=Tensor(rng.normal(0.0, 1.0, size=width), requires_grad=True),
         log_delta=Tensor(rng.uniform(np.log(1e-3), np.log(1e-1), size=state_dim), requires_grad=True),
     )
 
 
 def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
-    """Zero-order hold: lam_bar = exp(delta*lam), b_bar = ((lam_bar-1)/lam)*B."""
-    p = params.state_dim
-    lam = params.lam()  # (P, 2)
-    lam_abs2 = np.abs(params.lam_value()) ** 2
-    if lam_abs2.min() < 1e-24:
+    """Zero-order hold: lam_bar = exp(delta*lam) and b_bar = ((lam_bar-1)/lam)*B.
+
+    Returns (lam_bar, b_real): lam_bar packed (2P,), and b_real (H, 2P), the
+    drive matrix of b_bar, which holds the columns
+    [Re b_bar^T | Im b_bar^T], so u @ b_real is the packed drive b_bar u.
+    Each is one graph node with an analytic VJP onto log_neg_re, im and
+    log_delta (and b_mat for b_real).
+    """
+    lam = params.lam_value()  # (P,) complex
+    abs2 = lam.real * lam.real + lam.imag * lam.imag
+    if abs2.min() < 1e-24:
         raise DiscretizationError("continuous eigenvalue is zero; ZOH coefficient undefined")
-    delta = reshape(exp(params.log_delta), (p, 1))
-    lam_bar = complex_exp(mul(lam, delta))
-    # (lam_bar - 1) / lam via conj(lam)/|lam|^2.
-    num = add(lam_bar, Tensor(np.tile([-1.0, 0.0], (p, 1))))
-    conj_lam = mul(lam, Tensor(np.tile([1.0, -1.0], (p, 1))))
-    inv_abs2 = exp(neg(log(tsum(mul(lam, lam), axis=-1, keepdims=True))))
-    coef = complex_mul(num, mul(conj_lam, inv_abs2))  # (P, 2)
-    b_bar = complex_mul(reshape(coef, (p, 1, 2)), params.b_mat)  # (P, H, 2)
-    return lam_bar, b_bar
+    delta = np.exp(params.log_delta.data)
+    bar = np.exp(lam * delta)
+    # (lam_bar - 1) / lam, taken as (lam_bar - 1) * conj(lam) / |lam|^2
+    coef = (bar - 1.0) * (np.conj(lam) * np.exp(-np.log(abs2)))
+    b_t = _unpack(params.b_mat.data)  # B^T, (H, P)
+    lam_params = (params.log_neg_re, params.im, params.log_delta)
 
+    def to_lam_params(g_lam: np.ndarray, g_delta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Adjoints of (log_neg_re, im, log_delta) from those of lam and delta."""
+        return g_lam.real * lam.real, g_lam.imag, g_delta * delta
 
-def _as_batched(u, resets):
-    """Promote (T,H)/(T,) inputs to batched form; report whether we did."""
-    squeeze = False
-    if u.data.ndim == 2:
-        u = reshape(u, (1,) + u.shape)
-        squeeze = True
-    resets = np.asarray(resets, dtype=bool)
-    if resets.ndim == 1:
-        resets = resets[None, :]
-    return u, resets, squeeze
+    def lam_bar_vjp(g):
+        gz = np.conj(bar) * _unpack(g)  # adjoint of delta * lam
+        return to_lam_params(delta * gz, (np.conj(lam) * gz).real)
+
+    def b_real_vjp(g):
+        gb = _unpack(g)  # adjoint of b_bar^T, (H, P)
+        g_coef = (np.conj(b_t) * gb).sum(axis=0)
+        # d coef / d lam = (delta * lam_bar - coef) / lam, d coef / d delta = lam_bar
+        g_lam = np.conj((delta * bar - coef) / lam) * g_coef
+        return to_lam_params(g_lam, (np.conj(bar) * g_coef).real) + (_pack(np.conj(coef) * gb),)
+
+    lam_bar = _make(_pack(bar), lam_params, lam_bar_vjp)
+    b_real = _make(_pack(b_t * coef), lam_params + (params.b_mat,), b_real_vjp)
+    return lam_bar, b_real
 
 
 def block_maps(params: S5Params) -> tuple[Tensor, Tensor, Tensor]:
     """(lam_bar, b_real, c_real): the ZOH diagonal and the scan's real matrices.
 
-    Both matrices follow the packed [Re x | Im x] state layout: b_real (H, 2P)
-    holds the columns [Re b_bar^T | Im b_bar^T], so u @ b_real is the packed
-    drive b_bar u; c_real (2P, H) holds the rows [Re C^T ; -Im C^T], so
-    x @ c_real is Re(C x) for a packed x. All three depend on parameters only.
+    All three follow the packed [Re x | Im x] state layout and depend on
+    parameters only: lam_bar and b_real come from discretize, and c_real is
+    the parameter c_mat itself.
     """
-    p, h = params.state_dim, params.width
-    lam_bar, b_bar = discretize(params)
-    b_real = reshape(transpose(b_bar, (1, 2, 0)), (h, 2 * p))
-    c_real = reshape(transpose(mul(params.c_mat, Tensor(np.array([1.0, -1.0]))), (2, 1, 0)), (2 * p, h))
-    return lam_bar, b_real, c_real
+    return (*discretize(params), params.c_mat)
 
 
 def scan_sequential(
@@ -212,21 +197,18 @@ def scan_sequential(
     maps: tuple[Tensor, Tensor, Tensor] | None = None,
     x0: Tensor | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Recurrent scan. u: (T,H) or (B,T,H); resets: bool per step.
+    """Recurrent scan. u: (B,T,H); resets: (B,T) bool.
 
-    Returns packed internal states x ((B,)T,2P), each row [Re x_t | Im x_t],
-    and outputs y_t = Re(C x_t) + D u_t ((B,)T,H). A reset at step t zeroes
+    Returns packed internal states x (B,T,2P), each row [Re x_t | Im x_t],
+    and outputs y_t = Re(C x_t) + D u_t (B,T,H). A reset at step t zeroes
     the carried state before that step's update. The scan starts from x0
-    (B,2P), packed alike, when given (batched u only), else from zero; maps is
-    a precomputed block_maps(params), built here when None.
+    (B,2P), packed alike, when given, else from zero; maps is a precomputed
+    block_maps(params), built here when None.
     """
-    u, resets, squeeze = _as_batched(u, resets)
     lam_bar, b_real, c_real = block_maps(params) if maps is None else maps
-    gates = 1.0 - resets.astype(np.float64)
+    gates = 1.0 - np.asarray(resets, dtype=np.float64)
     x = linear_recurrence(lam_bar, matmul(u, b_real), gates, x0)
     y = add(matmul(x, c_real), mul(u, params.d_vec))
-    if squeeze:
-        return reshape(x, x.shape[1:]), reshape(y, y.shape[1:])
     return x, y
 
 
@@ -277,12 +259,11 @@ class S5Stack:
         return u, concat(h_parts, axis=2)
 
     def forward(self, u: Tensor, resets) -> tuple[Tensor, Tensor]:
-        """Full-sequence pass from the zero state. Returns (m, h): outputs and deterministic states."""
-        u, resets, squeeze = _as_batched(u, resets)
-        m, h = self._run(u, resets, self.discretized(), [None] * len(self.blocks))
-        if squeeze:
-            return reshape(m, m.shape[1:]), reshape(h, h.shape[1:])
-        return m, h
+        """Full-sequence pass from the zero state over u (B,T,H) and resets (B,T).
+
+        Returns (m, h): outputs and deterministic states.
+        """
+        return self._run(u, resets, self.discretized(), [None] * len(self.blocks))
 
     def discretized(self) -> list[tuple[Tensor, Tensor, Tensor]]:
         """The step context: per block (lam_bar, b_real, c_real) from block_maps.
