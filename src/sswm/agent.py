@@ -6,7 +6,9 @@ its observation, and its action is a discrete subgoal for the level below,
 held constant for the next k lower-level steps. Every level owns a world
 model, a subgoal autoencoder and an actor-critic with three value heads, one
 per reward stream (extrinsic, subgoal, novelty); the streams are mixed as
-r = w_extr*r_extr + w_g*r_g + w_nov*r_nov when forming policy advantages.
+r = w_extr*r_extr + w_g*r_g + w_nov*r_nov when forming policy advantages,
+with the constant weights MIX (1, 0.3, 0.1). The top level holds no goal, so
+it weighs the subgoal stream 0 (TOP_MIX).
 
 Actor-critics train by REINFORCE on imagined rollouts of their own world
 model: lambda-returns per stream from that stream's own value head, a mixed
@@ -23,26 +25,12 @@ from . import dists
 from .nn import MLP, AdamW
 from .replay import ExperienceDataset
 from .subgoal import SubgoalAutoencoder, SubgoalConfig
-from .tensor import Tensor, add, log, mul, neg, no_grad, reshape, softmax, tmean, tsum
+from .tensor import Tensor, add, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tsum
 from .worldmodel import LatentState, WmConfig, WorldModel
 
 STREAMS = ("extr", "g", "nov")
-
-
-@dataclass
-class MixWeights:
-    """Reward mixing weights; extrinsic weight defaults to 1 per convention."""
-
-    w_extr: float = 1.0
-    w_g: float = 0.3
-    w_nov: float = 0.1
-
-    def __post_init__(self):
-        if min(self.w_extr, self.w_g, self.w_nov) < 0:
-            raise ValueError("mix weights must be nonnegative")
-
-    def as_dict(self) -> dict[str, float]:
-        return {"extr": self.w_extr, "g": self.w_g, "nov": self.w_nov}
+MIX = {"extr": 1.0, "g": 0.3, "nov": 0.1}
+TOP_MIX = {**MIX, "g": 0.0}
 
 
 def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
@@ -93,7 +81,6 @@ class AcConfig:
     action_groups: int
     action_classes: int
     mlp_units: int = 64
-    mlp_layers: int = 1
     gamma: float = 0.99
     lam: float = 0.95
     entropy_coef: float = 3e-3
@@ -104,9 +91,8 @@ class ActorCritic:
 
     def __init__(self, rng: np.random.Generator, cfg: AcConfig):
         self.cfg = cfg
-        sizes = [cfg.feat_width] + [cfg.mlp_units] * cfg.mlp_layers
-        self.policy = MLP(rng, sizes + [cfg.action_groups * cfg.action_classes])
-        self.heads = {s: MLP(rng, sizes + [1]) for s in STREAMS}
+        self.policy = MLP(rng, [cfg.feat_width, cfg.mlp_units, cfg.action_groups * cfg.action_classes])
+        self.heads = {s: MLP(rng, [cfg.feat_width, cfg.mlp_units, 1]) for s in STREAMS}
 
     def params(self, prefix: str = "ac") -> dict[str, Tensor]:
         out = self.policy.params(f"{prefix}.policy")
@@ -119,12 +105,10 @@ class ActorCritic:
         logits = reshape(self.policy(feats), (n, self.cfg.action_groups, self.cfg.action_classes))
         return softmax(logits, axis=-1)
 
-    def act(self, feats: np.ndarray, rng: np.random.Generator, greedy: bool = False) -> np.ndarray:
-        """Sample (or argmax) a one-hot action matrix (N, groups, classes)."""
+    def act(self, feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Sample a one-hot action matrix (N, groups, classes)."""
         with no_grad():
             probs = self.policy_probs(Tensor(feats)).data
-        if greedy:
-            return dists.one_hot(probs.argmax(axis=-1), probs.shape[-1])
         return dists.sample_one_hot(probs, rng)
 
     def log_prob_entropy(self, feats: Tensor, actions: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -146,20 +130,20 @@ def reinforce_loss(
     actions: np.ndarray,
     rewards: dict[str, np.ndarray],
     conts: np.ndarray,
-    weights: MixWeights,
+    weights: dict[str, float],
 ) -> tuple[Tensor, dict]:
     """REINFORCE policy loss + per-stream value regressions on one rollout.
 
     feats: (B, H+1, F) states; actions: (B, H, G, K); rewards: per-stream
-    (B, H+1); conts: (B, H+1). Per stream s the lambda-return R^s uses only
-    that stream's rewards and value head; the policy advantage is the mixed
-    return minus the mixed baseline, fully detached.
+    (B, H+1); conts: (B, H+1); weights: per stream, like MIX. Per stream s
+    the lambda-return R^s uses only that stream's rewards and value head; the
+    policy advantage is the mixed return minus the mixed baseline, fully
+    detached.
     """
     bsz, hp1, fdim = feats.shape
     horizon = hp1 - 1
     if horizon < 1:
         raise ValueError("need at least one imagined transition")
-    w = weights.as_dict()
 
     flat_all = Tensor(feats.reshape(bsz * hp1, fdim))
     values = ac.values(flat_all)
@@ -167,8 +151,8 @@ def reinforce_loss(
     returns = {
         s: lambda_returns(rewards[s], conts, values_np[s], ac.cfg.gamma, ac.cfg.lam) for s in STREAMS
     }
-    mixed_return = sum(w[s] * returns[s] for s in STREAMS)
-    mixed_value = sum(w[s] * values_np[s][:, :horizon] for s in STREAMS)
+    mixed_return = sum(weights[s] * returns[s] for s in STREAMS)
+    mixed_value = sum(weights[s] * values_np[s][:, :horizon] for s in STREAMS)
     adv = mixed_return - mixed_value  # (B, H), detached by construction
 
     feats_t = Tensor(feats[:, :horizon].reshape(bsz * horizon, fdim))
@@ -205,48 +189,42 @@ class LevelConfig:
     wm: WmConfig
     sg: SubgoalConfig
     ac: AcConfig
-    k: int
 
 
 class Subactor:
     """One hierarchy level: world model + actor-critic + subgoal autoencoder."""
 
-    def __init__(self, level: int, rng: np.random.Generator, cfg: LevelConfig, weights: MixWeights, lr: float, weight_decay: float = 0.0):
-        self.level = level
+    def __init__(self, rng: np.random.Generator, cfg: LevelConfig, weights: dict[str, float], lr: float):
         self.cfg = cfg
         self.weights = weights
         self.wm = WorldModel(rng, cfg.wm)
         self.ae = SubgoalAutoencoder(rng, cfg.sg)
         self.ac = ActorCritic(rng, cfg.ac)
         self.replay = ExperienceDataset(cfg.wm.obs_dim, cfg.wm.action_dim)
-        self.wm_opt = AdamW(self.wm.params(), lr=lr, weight_decay=weight_decay)
-        self.ae_opt = AdamW(self.ae.params(), lr=lr, weight_decay=weight_decay)
-        self.ac_opt = AdamW(self.ac.params(), lr=lr, weight_decay=weight_decay)
+        self.wm_opt = AdamW(self.wm.params(), lr=lr)
+        self.ae_opt = AdamW(self.ae.params(), lr=lr)
+        self.ac_opt = AdamW(self.ac.params(), lr=lr)
         # online state
         self.h = np.zeros((1, self.wm.h_width))
         self.z = np.zeros((1, cfg.wm.n_cats, cfg.wm.n_classes))
         self.a_prev = np.zeros((1, cfg.wm.action_dim))
         self.goal_codes = np.zeros((cfg.sg.n_codes, cfg.sg.code_size))
-        self.goal_dirty = True
-        self._goal_dec_cache: np.ndarray | None = None
+        self._goal_dec: np.ndarray | None = None  # the held goal decoded; None when stale
         self._ctx = None
-        self.steps_taken = 0
         self.action_emissions = 0
 
     # -- goal plumbing -------------------------------------------------------
 
     def set_goal(self, codes: np.ndarray) -> None:
         self.goal_codes = codes
-        self.goal_dirty = True
+        self._goal_dec = None
 
     def decoded_goal(self) -> np.ndarray:
         """Own-decoder decoding of the currently held goal (cached per goal)."""
-        if self.goal_dirty or self._goal_dec_cache is None:
+        if self._goal_dec is None:
             with no_grad():
-                flat = self.goal_codes.reshape(1, -1)
-                self._goal_dec_cache = self.ae.decode(Tensor(flat)).data[0]
-            self.goal_dirty = False
-        return self._goal_dec_cache
+                self._goal_dec = self.ae.decode(Tensor(self.goal_codes.reshape(1, -1))).data[0]
+        return self._goal_dec
 
     def goal_feature(self) -> np.ndarray:
         """The held goal as the policy sees it: its flattened codes."""
@@ -291,16 +269,15 @@ class Subactor:
         self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
         self.h = h_t.data
         self.z = z_t
-        self.steps_taken += 1
         return self._features(self.h, z_t, self.goal_feature(), np.array([reward]), np.array([cont]), entropy)
 
-    def choose_action(self, feats: np.ndarray, rng, random_action: bool = False, greedy: bool = False) -> np.ndarray:
-        """Pick an action one-hot matrix and remember it as a_prev."""
+    def choose_action(self, feats: np.ndarray, rng, random_action: bool) -> np.ndarray:
+        """Pick an action one-hot matrix, uniformly or from the policy, and remember it as a_prev."""
         g, k = self.cfg.ac.action_groups, self.cfg.ac.action_classes
         if random_action:
             onehot = dists.one_hot(rng.integers(k, size=(1, g)), k)
         else:
-            onehot = self.ac.act(feats, rng, greedy=greedy)
+            onehot = self.ac.act(feats, rng)
         self.a_prev = onehot.reshape(1, -1)
         self.action_emissions += 1
         return onehot[0]
@@ -328,7 +305,7 @@ class Subactor:
         ae_total, ae_report = self.ae.loss(Tensor(h_states), rng)
         ae_total.backward()
         self.ae_opt.step()
-        self.goal_dirty = True
+        self._goal_dec = None
         report["ae"] = ae_report
 
         report["ac"] = self._train_actor(out, batch, horizon, rng)
@@ -373,6 +350,21 @@ class Subactor:
         return report
 
 
+@dataclass
+class _Window:
+    """Level i's records since level i+1 last stepped: what level i+1 observes next."""
+
+    states: list[np.ndarray] = field(default_factory=list)
+    reward: float = 0.0
+    cont: float = 1.0
+    reset: bool = False
+
+    def add(self, reward: float, cont: float) -> None:
+        """Fold in one record's outcome: rewards sum, and one terminal makes cont 0."""
+        self.reward += reward
+        self.cont = min(self.cont, cont)
+
+
 class HierarchicalAgent:
     """Subactor stack with the k^i action-emission schedule.
 
@@ -380,9 +372,12 @@ class HierarchicalAgent:
     n % k^i == 0, i.e. right after its window of k lower-level steps
     completes; its new subgoal then holds for the next k lower-level steps.
     Over T env steps level i therefore emits floor(T / k^i) actions,
-    regardless of episode boundaries (windows may span episodes; the reset
-    flags carried on the records keep the world models from leaking state
-    across them). The top level's goal input stays all-zero.
+    regardless of episode boundaries. Windows may span episodes: level i's
+    record of a window resets its state exactly when one of the window's k
+    lower-level records began an episode. That is where level i's replay
+    sees a new episode id, so acting and training split episodes at the same
+    records. After a terminal on the last step of a window, the reset falls
+    on the next window's record. The top level's goal input stays all-zero.
 
     Driver protocol per env step:
         a = agent.policy_step(obs, reward, cont, reset)
@@ -397,77 +392,57 @@ class HierarchicalAgent:
         self.levels = levels
         self.k = k
         self.depth = len(levels)
-        self.rng = _agent_rng(rng_seed)
+        self.rng = make_rng(rng_seed, stream=9)
         self.env_steps = 0
         self._episode_id = 0
         self._random_phase = False
-        self._buffers: list[list[np.ndarray]] = [[] for _ in levels]
-        self._win_reward = [0.0 for _ in levels]
-        self._win_cont = [1.0 for _ in levels]
-        # first record of every level starts an episode
-        self._win_reset = [True for _ in levels]
+        # _windows[i] fills with level i's records; the top level feeds no window
+        self._windows = [_Window() for _ in levels[1:]]
 
-    def policy_step(
-        self, obs: np.ndarray, reward: float, cont: float, reset: bool,
-        random_action: bool = False, greedy: bool = False,
-    ) -> int:
+    def policy_step(self, obs: np.ndarray, reward: float, cont: float, reset: bool) -> int:
         """Advance level 0 on a fresh observation and return an env action index."""
-        lvl = self.levels[0]
-        if reset:
-            self._win_reset[0] = True
-        feats = lvl.advance(obs, reward, cont, reset, self._episode_id, self.rng)
-        self._buffers[0].append(lvl.latent_snapshot())
-        onehot = lvl.choose_action(feats, self.rng, random_action=random_action or self._random_phase, greedy=greedy)
-        return int(onehot.reshape(-1).argmax())
+        return int(self._step_level(0, obs, reward, cont, reset).argmax())
 
     def observe_result(self, reward: float, done: bool) -> None:
-        """Fold the step outcome into window accumulators; run the hierarchy clock."""
+        """Fold the step outcome into level 0's window; run the hierarchy clock."""
         self.env_steps += 1
-        self._accumulate(0, reward, done)
+        if self._windows:
+            self._windows[0].add(reward, 0.0 if done else 1.0)
         for i in range(1, self.depth):
-            if self.env_steps % (self.k**i) == 0:
-                self._emit(i)
-            else:
+            if self.env_steps % (self.k**i) != 0:
                 break
+            self._emit(i)
 
     def record_terminal(self, obs: np.ndarray, reward: float) -> None:
         """Append the terminal observation to level-0 replay and close the episode.
 
-        The terminal reward was already window-accumulated by observe_result;
-        no action is taken from a terminal state, so no snapshot is pushed
-        and the hierarchy clock does not tick.
+        No action is taken from a terminal state, so the world model does not
+        step: the next policy_step resets level 0. The terminal reward was
+        already window-accumulated by observe_result, and the hierarchy clock
+        does not tick.
         """
-        self.levels[0].advance(obs, reward, 0.0, False, self._episode_id, self.rng)
+        lvl = self.levels[0]
+        lvl.replay.append(obs, lvl.a_prev[0], reward, 0.0, self._episode_id)
         self._episode_id += 1
 
-    def _accumulate(self, i: int, reward: float, terminated: bool) -> None:
-        self._win_reward[i] += reward
-        if terminated:
-            self._win_cont[i] = 0.0
-            self._win_reset[i] = True
+    def _step_level(self, i: int, obs: np.ndarray, reward: float, cont: float, reset: bool) -> np.ndarray:
+        """Advance level i, push its snapshot into the window above, choose its action."""
+        lvl = self.levels[i]
+        feats = lvl.advance(obs, reward, cont, reset, self._episode_id, self.rng)
+        if i < self.depth - 1:
+            above = self._windows[i]
+            above.states.append(lvl.latent_snapshot())
+            above.reset = above.reset or reset
+        return lvl.choose_action(feats, self.rng, self._random_phase)
 
     def _emit(self, i: int) -> None:
         """Level i observes the completed window of level i-1 and emits a subgoal."""
-        upper = self.levels[i]
-        below = self.levels[i - 1]
-        uplink = uplink_observation(self._buffers[i - 1], self.k)
-        reward = self._win_reward[i - 1]
-        cont = self._win_cont[i - 1]
-        reset = self._win_reset[i - 1]
-        feats = upper.advance(uplink, reward, cont, reset, self._episode_id, self.rng)
-        self._buffers[i].append(upper.latent_snapshot())
-        goal = upper.choose_action(feats, self.rng, random_action=self._random_phase)
-        below.set_goal(goal)
-        self._accumulate(i, reward, cont == 0.0)
-        self._buffers[i - 1] = []
-        self._win_reward[i - 1] = 0.0
-        self._win_cont[i - 1] = 1.0
-        self._win_reset[i - 1] = False
-        # the top level consumes its own window nowhere; cap the buffer
-        if i == self.depth - 1 and len(self._buffers[i]) >= self.k:
-            self._buffers[i] = []
-            self._win_reward[i] = 0.0
-            self._win_cont[i] = 1.0
+        win = self._windows[i - 1]
+        self._windows[i - 1] = _Window()
+        goal = self._step_level(i, uplink_observation(win.states, self.k), win.reward, win.cont, win.reset)
+        self.levels[i - 1].set_goal(goal)
+        if i < self.depth - 1:
+            self._windows[i].add(win.reward, win.cont)
 
     def set_random_phase(self, on: bool) -> None:
         """Random actions at every level (warmup prefill)."""
@@ -484,12 +459,6 @@ class HierarchicalAgent:
         return reports
 
 
-def _agent_rng(seed: int):
-    from .tensor import make_rng
-
-    return make_rng(seed, stream=9)
-
-
 def build_agent(
     seed: int,
     env_obs_dim: int,
@@ -499,23 +468,18 @@ def build_agent(
     wm_kwargs: dict | None = None,
     sg_kwargs: dict | None = None,
     ac_kwargs: dict | None = None,
-    weights: MixWeights | None = None,
     lr: float = 1e-4,
-    weight_decay: float = 0.0,
 ) -> HierarchicalAgent:
     """Construct a depth-level stack with consistent inter-level widths.
 
     Level 0 observes the environment and acts in it; level i>0 observes the
     k-window of level i-1 latent states (h and flattened z) and acts in the
-    level-(i-1) subgoal code space. The top level's subgoal-reward weight is
-    forced to 0 (it has no incoming goal).
+    level-(i-1) subgoal code space. Every level mixes its reward streams
+    with MIX, except the top level, which has no incoming goal: TOP_MIX.
     """
-    from .tensor import make_rng
-
     wm_kwargs = dict(wm_kwargs or {})
     sg_kwargs = dict(sg_kwargs or {})
     ac_kwargs = dict(ac_kwargs or {})
-    weights = weights or MixWeights()
     rng = make_rng(seed, stream=1)
     levels = []
     obs_dim = env_obs_dim
@@ -532,9 +496,8 @@ def build_agent(
             action_classes=action_classes,
             **ac_kwargs,
         )
-        lvl_weights = weights if i < depth - 1 else MixWeights(weights.w_extr, 0.0, weights.w_nov)
-        cfg = LevelConfig(wm=wm_cfg, sg=sg_cfg, ac=ac_cfg, k=k)
-        levels.append(Subactor(i, rng, cfg, lvl_weights, lr=lr, weight_decay=weight_decay))
+        cfg = LevelConfig(wm=wm_cfg, sg=sg_cfg, ac=ac_cfg)
+        levels.append(Subactor(rng, cfg, MIX if i < depth - 1 else TOP_MIX, lr=lr))
         # dimensions seen by the next level up
         obs_dim = k * (h_width + wm_cfg.z_flat)
         action_groups, action_classes = sg_cfg.n_codes, sg_cfg.code_size

@@ -282,7 +282,7 @@ class S5Stack:
         h_prev: Tensor,
         u: Tensor,
         reset: np.ndarray,
-        discretized: list[tuple[Tensor, Tensor, Tensor]] | None = None,
+        discretized: list[tuple[Tensor, Tensor, Tensor]],
     ) -> tuple[Tensor, Tensor]:
         """One online step: the sequence pass at T=1, resumed from h_prev.
 
@@ -290,11 +290,8 @@ class S5Stack:
         forward() returns, and each block resumes from its own slice of it;
         u: (B,H); reset: (B,) bool drops h_prev. The return
         is (m, h) with h in the same packed layout. discretized is the step
-        context, self.discretized() when None; pass it in to reuse it over
-        many steps.
+        context, self.discretized(), built once and reused over many steps.
         """
-        if discretized is None:
-            discretized = self.discretized()
         bsz, w = u.shape[0], 2 * self.state_dim
         x0s = [tslice(h_prev, (slice(None), slice(i * w, (i + 1) * w))) for i in range(len(self.blocks))]
         resets = np.asarray(reset, dtype=bool).reshape(bsz, 1)

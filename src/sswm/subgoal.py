@@ -28,7 +28,6 @@ class SubgoalConfig:
     n_codes: int = 8
     code_size: int = 8
     mlp_units: int = 64
-    mlp_layers: int = 1
     beta: float = 0.5
 
     @property
@@ -39,10 +38,8 @@ class SubgoalConfig:
 class SubgoalAutoencoder:
     def __init__(self, rng: np.random.Generator, cfg: SubgoalConfig):
         self.cfg = cfg
-        sizes_enc = [cfg.h_width] + [cfg.mlp_units] * cfg.mlp_layers + [cfg.flat]
-        sizes_dec = [cfg.flat] + [cfg.mlp_units] * cfg.mlp_layers + [cfg.h_width]
-        self.encoder = MLP(rng, sizes_enc)
-        self.decoder = MLP(rng, sizes_dec)
+        self.encoder = MLP(rng, [cfg.h_width, cfg.mlp_units, cfg.flat])
+        self.decoder = MLP(rng, [cfg.flat, cfg.mlp_units, cfg.h_width])
 
     def params(self, prefix: str = "ae") -> dict[str, Tensor]:
         out = self.encoder.params(f"{prefix}.enc")

@@ -46,7 +46,6 @@ class WmConfig:
     n_blocks: int = 2
     init_blocks: int = 2
     mlp_units: int = 64
-    mlp_layers: int = 1
     unimix: float = 0.01
     a_dyn: float = 0.5
     a_rep: float = 0.1
@@ -86,23 +85,19 @@ class WmLossReport:
     obs_nll: float
 
 
-def _mlp_sizes(n_in: int, units: int, layers: int, n_out: int) -> list[int]:
-    return [n_in] + [units] * layers + [n_out]
-
-
 class WorldModel:
     def __init__(self, rng: np.random.Generator, cfg: WmConfig):
         self.cfg = cfg
         c = cfg
-        self.encoder = MLP(rng, _mlp_sizes(c.obs_dim, c.mlp_units, c.mlp_layers, c.z_flat))
+        self.encoder = MLP(rng, [c.obs_dim, c.mlp_units, c.z_flat])
         self.in_proj = Linear(rng, c.z_flat + c.action_dim, c.model_dim)
         self.stack = S5Stack(rng, c.model_dim, c.state_dim, c.n_blocks, c.init_blocks)
         self.h_width = c.h_width
-        self.dyn = MLP(rng, _mlp_sizes(c.model_dim, c.mlp_units, c.mlp_layers, c.z_flat))
+        self.dyn = MLP(rng, [c.model_dim, c.mlp_units, c.z_flat])
         feat = self.h_width + c.z_flat
-        self.reward_head = MLP(rng, _mlp_sizes(feat, c.mlp_units, c.mlp_layers, 1))
-        self.cont_head = MLP(rng, _mlp_sizes(feat, c.mlp_units, c.mlp_layers, 1))
-        self.decoder = MLP(rng, _mlp_sizes(feat, c.mlp_units, c.mlp_layers, c.obs_dim))
+        self.reward_head = MLP(rng, [feat, c.mlp_units, 1])
+        self.cont_head = MLP(rng, [feat, c.mlp_units, 1])
+        self.decoder = MLP(rng, [feat, c.mlp_units, c.obs_dim])
 
     def params(self) -> dict[str, Tensor]:
         out = self.encoder.params("wm.enc")
@@ -153,10 +148,7 @@ class WorldModel:
         bsz, t_len = action.shape[:2]
         zf = reshape(z, (bsz, t_len, self.cfg.z_flat))
         zeros = Tensor(np.zeros((bsz, 1, self.cfg.z_flat)))
-        if t_len > 1:
-            z_prev = concat([zeros, tslice(zf, (slice(None), slice(0, t_len - 1)))], axis=1)
-        else:
-            z_prev = zeros
+        z_prev = concat([zeros, tslice(zf, (slice(None), slice(0, t_len - 1)))], axis=1)
         keep = (1.0 - resets.astype(np.float64))[:, :, None]
         z_prev = mul(z_prev, Tensor(keep))
         u = concat([z_prev, Tensor(action)], axis=2)
@@ -259,12 +251,12 @@ class WorldModel:
         z_prev: Tensor,
         a_prev: Tensor,
         reset: np.ndarray,
-        ctx=None,
+        ctx: list[tuple[Tensor, Tensor, Tensor]],
     ) -> tuple[Tensor, Tensor]:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (m_t, h_t).
 
         z_prev: (B, n_cats, n_classes) one-hots (flattened internally);
-        reset True drops all dependence on h_prev.
+        reset True drops all dependence on h_prev; ctx is step_context().
         """
         bsz = h_prev.shape[0]
         zf = reshape(z_prev, (bsz, self.cfg.z_flat))

@@ -1,12 +1,14 @@
 """Hierarchical agent tests: the subgoal reward, the clock and the full train step."""
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sswm import agent as agent_module
-from sswm.agent import build_agent, subgoal_reward
+from sswm.agent import Subactor, build_agent, subgoal_reward
 from sswm.envs import make_env
 from sswm.replay import EtbsSampler
 from sswm.tensor import Tensor, make_rng, no_grad
@@ -90,8 +92,47 @@ def test_clock_replay_and_uplink_widths(depth, k, steps, seed):
             below = agent.levels[i - 1]
             width = k * (below.wm.h_width + below.cfg.wm.z_flat)
             assert lvl.cfg.wm.obs_dim == lvl.replay.obs.shape[1] == width
-            assert lvl.replay.n == lvl.steps_taken == steps // k**i
+            assert len(lvl.replay) == steps // k**i
     assert agent.levels[0].replay.n == steps + terminals
+
+
+@settings(max_examples=12, deadline=None)
+@given(depth=st.integers(1, 3), k=st.integers(2, 4), steps=st.integers(0, 70), seed=st.integers(0, 2**16))
+@example(depth=2, k=2, steps=12, seed=0)  # episodes of 6 steps end on the last step of a window
+def test_window_resets_match_replay(depth, k, steps, seed):
+    """Acting resets each level's state at the records where its replay starts an episode."""
+    env, agent = tiny_agent(seed, depth, k)
+    passed = {id(lvl): [] for lvl in agent.levels}
+    advance = Subactor.advance
+
+    def recording_advance(self, obs, reward, cont, reset, episode_id, rng):
+        passed[id(self)].append((len(self.replay), reset))
+        return advance(self, obs, reward, cont, reset, episode_id, rng)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Subactor, "advance", recording_advance)
+        drive(agent, env, steps)
+    for lvl in agent.levels:
+        if passed[id(lvl)]:
+            rows, resets = map(np.array, zip(*passed[id(lvl)]))
+            np.testing.assert_array_equal(resets, lvl.replay.reset_flags(rows, 1)[:, 0])
+
+
+def test_record_terminal_only_appends_the_row():
+    env, agent = tiny_agent(8, depth=2, k=2)
+    drive(agent, env, 3)
+    lvl = agent.levels[0]
+    rows, h, z, rng = len(lvl.replay), lvl.h.copy(), lvl.z.copy(), copy.deepcopy(agent.rng)
+    obs = np.full(env.obs_dim, 0.5)
+    agent.record_terminal(obs, 2.0)
+    np.testing.assert_array_equal(agent.rng.random(4), rng.random(4))  # no draws taken
+    np.testing.assert_array_equal(lvl.h, h)
+    np.testing.assert_array_equal(lvl.z, z)
+    assert len(lvl.replay) == rows + 1
+    np.testing.assert_array_equal(lvl.replay.obs[rows], obs)
+    np.testing.assert_array_equal(lvl.replay.action[rows], lvl.a_prev[0])
+    assert (lvl.replay.reward[rows], lvl.replay.cont[rows]) == (2.0, 0.0)
+    assert len(agent.levels[1].replay) == 1
 
 
 def test_same_seed_gives_identical_runs():

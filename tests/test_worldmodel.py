@@ -162,9 +162,9 @@ def test_wm_step_reset_ignores_history():
     rng = make_rng(8)
     z = dists.sample_one_hot(np.full((3, 2, 4), 0.25), rng)
     a = rng.normal(size=(3, 3))
-    reset = np.ones(3, dtype=bool)
-    m1, h1 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset)
-    m2, h2 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset)
+    reset, ctx = np.ones(3, dtype=bool), wm.step_context()
+    m1, h1 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
+    m2, h2 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
     np.testing.assert_array_equal(m1.data, m2.data)
     np.testing.assert_array_equal(h1.data, h2.data)
 
@@ -204,7 +204,9 @@ def test_zero_network_gives_zero_output():
     rng = make_rng(13)
     z = np.zeros((2, 2, 4))
     z[:, :, 0] = 1.0
-    m, _ = wm.wm_step(Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), np.zeros(2, bool))
+    m, _ = wm.wm_step(
+        Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), np.zeros(2, bool), wm.step_context()
+    )
     np.testing.assert_allclose(m.data, 0.0, atol=1e-12)
 
 
