@@ -4,11 +4,12 @@ Level 0 consumes environment observations and emits environment actions.
 Level i>0 consumes k consecutive (h, z) latent states of the level below as
 its observation, and its action is a discrete subgoal for the level below,
 held constant for the next k lower-level steps. Every level owns a world
-model, a subgoal autoencoder and an actor-critic with three value heads, one
-per reward stream (extrinsic, subgoal, novelty); the streams are mixed as
-r = w_extr*r_extr + w_g*r_g + w_nov*r_nov when forming policy advantages,
+model, a subgoal autoencoder and an actor-critic with one value head per
+reward stream it mixes (extrinsic, subgoal, novelty); the streams are mixed
+as r = w_extr*r_extr + w_g*r_g + w_nov*r_nov when forming policy advantages,
 with the constant weights MIX (1, 0.3, 0.1). The top level holds no goal, so
-it weighs the subgoal stream 0 (TOP_MIX).
+it has no subgoal stream: TOP_MIX leaves it out, and the top actor-critic
+builds no subgoal value head and computes no subgoal reward.
 
 Actor-critics train by REINFORCE on imagined rollouts of their own world
 model: lambda-returns per stream from that stream's own value head, a mixed
@@ -17,7 +18,9 @@ baseline subtracted from the mixed return, and an entropy bonus.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,9 +31,9 @@ from .subgoal import SubgoalAutoencoder, SubgoalConfig
 from .tensor import Tensor, add, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tsum
 from .worldmodel import LatentState, WmConfig, WorldModel
 
-STREAMS = ("extr", "g", "nov")
-MIX = {"extr": 1.0, "g": 0.3, "nov": 0.1}
-TOP_MIX = {**MIX, "g": 0.0}
+# read-only: every level's actor-critic holds one of these two by reference
+MIX = MappingProxyType({"extr": 1.0, "g": 0.3, "nov": 0.1})
+TOP_MIX = MappingProxyType({s: w for s, w in MIX.items() if s != "g"})
 
 
 def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
@@ -87,17 +90,18 @@ class AcConfig:
 
 
 class ActorCritic:
-    """Categorical policy (possibly factored into code groups) + 3 value heads."""
+    """Categorical policy (possibly factored into code groups) + one value head per stream of `mix`."""
 
-    def __init__(self, rng: np.random.Generator, cfg: AcConfig):
+    def __init__(self, rng: np.random.Generator, cfg: AcConfig, mix: Mapping[str, float] = MIX):
         self.cfg = cfg
+        self.mix = mix
         self.policy = MLP(rng, [cfg.feat_width, cfg.mlp_units, cfg.action_groups * cfg.action_classes])
-        self.heads = {s: MLP(rng, [cfg.feat_width, cfg.mlp_units, 1]) for s in STREAMS}
+        self.heads = {s: MLP(rng, [cfg.feat_width, cfg.mlp_units, 1]) for s in mix}
 
     def params(self, prefix: str = "ac") -> dict[str, Tensor]:
         out = self.policy.params(f"{prefix}.policy")
-        for s in STREAMS:
-            out.update(self.heads[s].params(f"{prefix}.v_{s}"))
+        for s, head in self.heads.items():
+            out.update(head.params(f"{prefix}.v_{s}"))
         return out
 
     def policy_probs(self, feats: Tensor) -> Tensor:
@@ -121,7 +125,7 @@ class ActorCritic:
 
     def values(self, feats: Tensor) -> dict[str, Tensor]:
         n = feats.shape[0]
-        return {s: reshape(self.heads[s](feats), (n,)) for s in STREAMS}
+        return {s: reshape(head(feats), (n,)) for s, head in self.heads.items()}
 
 
 def reinforce_loss(
@@ -130,14 +134,13 @@ def reinforce_loss(
     actions: np.ndarray,
     rewards: dict[str, np.ndarray],
     conts: np.ndarray,
-    weights: dict[str, float],
 ) -> tuple[Tensor, dict]:
     """REINFORCE policy loss + per-stream value regressions on one rollout.
 
-    feats: (B, H+1, F) states; actions: (B, H, G, K); rewards: per-stream
-    (B, H+1); conts: (B, H+1); weights: per stream, like MIX. Per stream s
-    the lambda-return R^s uses only that stream's rewards and value head; the
-    policy advantage is the mixed return minus the mixed baseline, fully
+    feats: (B, H+1, F) states; actions: (B, H, G, K); rewards: (B, H+1) for
+    each stream of ac.mix; conts: (B, H+1). Per stream s the lambda-return
+    R^s uses only that stream's rewards and value head; the policy advantage
+    is the ac.mix-weighted return minus the weighted baseline, fully
     detached.
     """
     bsz, hp1, fdim = feats.shape
@@ -147,12 +150,12 @@ def reinforce_loss(
 
     flat_all = Tensor(feats.reshape(bsz * hp1, fdim))
     values = ac.values(flat_all)
-    values_np = {s: values[s].data.reshape(bsz, hp1) for s in STREAMS}
+    values_np = {s: v.data.reshape(bsz, hp1) for s, v in values.items()}
     returns = {
-        s: lambda_returns(rewards[s], conts, values_np[s], ac.cfg.gamma, ac.cfg.lam) for s in STREAMS
+        s: lambda_returns(rewards[s], conts, values_np[s], ac.cfg.gamma, ac.cfg.lam) for s in ac.mix
     }
-    mixed_return = sum(weights[s] * returns[s] for s in STREAMS)
-    mixed_value = sum(weights[s] * values_np[s][:, :horizon] for s in STREAMS)
+    mixed_return = sum(w * returns[s] for s, w in ac.mix.items())
+    mixed_value = sum(w * values_np[s][:, :horizon] for s, w in ac.mix.items())
     adv = mixed_return - mixed_value  # (B, H), detached by construction
 
     feats_t = Tensor(feats[:, :horizon].reshape(bsz * horizon, fdim))
@@ -161,7 +164,7 @@ def reinforce_loss(
     policy_loss = add(pg, neg(mul(tmean(ent), Tensor(ac.cfg.entropy_coef))))
 
     value_loss = Tensor(0.0)
-    for s in STREAMS:
+    for s in ac.mix:
         # regress positions 0..H-1 onto their (detached) lambda-return targets;
         # the mask zeroes the bootstrap position, the scale restores the mean
         target = np.zeros(bsz * hp1)
@@ -177,9 +180,7 @@ def reinforce_loss(
         "value_loss": value_loss.item(),
         "entropy": ent.data.mean(),
         "adv_mean": float(adv.mean()),
-        "return_extr": float(returns["extr"].mean()),
-        "return_g": float(returns["g"].mean()),
-        "return_nov": float(returns["nov"].mean()),
+        **{f"return_{s}": float(r.mean()) for s, r in returns.items()},
     }
     return total, report
 
@@ -194,12 +195,11 @@ class LevelConfig:
 class Subactor:
     """One hierarchy level: world model + actor-critic + subgoal autoencoder."""
 
-    def __init__(self, rng: np.random.Generator, cfg: LevelConfig, weights: dict[str, float], lr: float):
+    def __init__(self, rng: np.random.Generator, cfg: LevelConfig, mix: Mapping[str, float], lr: float):
         self.cfg = cfg
-        self.weights = weights
         self.wm = WorldModel(rng, cfg.wm)
         self.ae = SubgoalAutoencoder(rng, cfg.sg)
-        self.ac = ActorCritic(rng, cfg.ac)
+        self.ac = ActorCritic(rng, cfg.ac, mix)
         self.replay = ExperienceDataset(cfg.wm.obs_dim, cfg.wm.action_dim)
         self.wm_opt = AdamW(self.wm.params(), lr=lr)
         self.ae_opt = AdamW(self.ae.params(), lr=lr)
@@ -325,7 +325,6 @@ class Subactor:
         )
         start_entropy = dists.entropy_categorical_np(wm_out["prior_probs"].data).sum(axis=-1)
         goal_vec = self.goal_feature()
-        goal_dec = self.decoded_goal()
         hp1 = horizon + 1
         feats = np.empty((n, hp1, self.cfg.ac.feat_width))
 
@@ -339,12 +338,13 @@ class Subactor:
             traj["h"][:, horizon], traj["z"][:, horizon], goal_vec,
             traj["reward"][:, horizon], traj["cont"][:, horizon], traj["entropy"][:, horizon],
         )
-        r_g = subgoal_reward(goal_dec, traj["h"])
         # time-major rows draw the sampled codes in the order of a per-step loop
         nov = self.ae.novelty(traj["h"].transpose(1, 0, 2).reshape(hp1 * n, -1), rng).reshape(hp1, n).T
-        rewards = {"extr": traj["reward"], "g": r_g, "nov": nov}
+        rewards = {"extr": traj["reward"], "nov": nov}
+        if "g" in self.ac.mix:
+            rewards["g"] = subgoal_reward(self.decoded_goal(), traj["h"])
         actions = traj["action"].reshape(n, horizon, self.cfg.ac.action_groups, self.cfg.ac.action_classes)
-        total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"], self.weights)
+        total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"])
         total.backward()
         report["ac_grad_norm"] = self.ac_opt.step()
         return report

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sswm import agent as agent_module
-from sswm.agent import Subactor, build_agent, subgoal_reward
+from sswm.agent import MIX, ActorCritic, Subactor, build_agent, subgoal_reward
 from sswm.envs import make_env
 from sswm.replay import EtbsSampler
 from sswm.tensor import Tensor, make_rng, no_grad
@@ -203,3 +203,22 @@ def test_step_context_follows_train_step():
     assert not np.array_equal(fresh, old)  # the update moved the step maps
     lvl.advance(np.zeros(env.obs_dim), 0.0, 1.0, False, 0, make_rng(7, stream=3))
     np.testing.assert_array_equal(lvl.h, fresh)
+
+
+def test_top_level_trains_no_subgoal_stream(monkeypatch):
+    env, agent = tiny_agent(9, depth=2, k=2)
+    drive(agent, env, 8)
+    low, top = agent.levels
+    heads = lambda ac: {name.split(".")[1] for name in ac.params() if ".v_" in name}  # noqa: E731
+    assert heads(low.ac) == {"v_extr", "v_g", "v_nov"} and low.ac.mix == MIX
+    assert heads(top.ac) == {"v_extr", "v_nov"}
+    # built without a mix, an actor-critic has every stream, as a lower level's
+    assert heads(ActorCritic(make_rng(0), low.cfg.ac)) == heads(low.ac)
+
+    calls = []
+    monkeypatch.setattr(agent_module, "subgoal_reward", lambda *args: calls.append(args) or subgoal_reward(*args))
+    reports = agent.train_due_levels(2, 3, lambda level: EtbsSampler(0.3), 2, make_rng(9, stream=2))
+    assert set(reports) == {0, 1}
+    assert len(calls) == 1  # level 0's train step only
+    assert {"return_extr", "return_g", "return_nov"} <= set(reports[0]["ac"])
+    assert {"return_extr", "return_nov"} <= set(reports[1]["ac"]) and "return_g" not in reports[1]["ac"]

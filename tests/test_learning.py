@@ -1,0 +1,93 @@
+"""Learning gates: the models must learn, not only run.
+
+The first gate fits the world model alone on the noisy linear system, whose
+one-step prediction floor is known in closed form (`one_step_noise_floor`),
+and scores its one-step predictions on held-out data as a ratio to that
+floor. A change that moves values (an activation, a sampler's draw order, a
+layout) keeps its place only if the gate still passes.
+"""
+
+import numpy as np
+import pytest
+
+from sswm import dists
+from sswm.envs import LinearSystemEnv
+from sswm.nn import AdamW
+from sswm.replay import EtbsSampler, ExperienceDataset
+from sswm.tensor import Tensor, make_rng, no_grad
+from sswm.worldmodel import WmConfig, WorldModel
+
+TRAIN_STEPS, HELD_OUT_STEPS = 4096, 2048
+BATCH, LENGTH, TAU, LR, UPDATES = 8, 32, 0.3, 1e-3, 300
+# Bound on the ratio to the noise floor after UPDATES updates, on seeds 0 and
+# 3. Untrained, the ratio is 113 and 89 on those seeds; after 300 updates it
+# is 12.4, 15.0, 19.5 and 17.5 on seeds 0, 3, 4 and 5, the same to 3 digits
+# with BLAS on 1 or 2 threads. The bound is 1.3 times seed 3's ratio.
+GATE_RATIO = 19.5
+
+
+def random_rollouts(env, steps: int, rng) -> ExperienceDataset:
+    """Records of `steps` uniform random actions, in the agent's replay convention."""
+    ds = ExperienceDataset(env.obs_dim, env.n_actions)
+    no_action = np.zeros(env.n_actions)
+    obs, a_prev, reward, episode = env.reset(), no_action, 0.0, 0
+    for _ in range(steps):
+        ds.append(obs, a_prev, reward, 1.0, episode)
+        a = int(rng.integers(env.n_actions))
+        res = env.step(a)
+        a_prev = np.eye(env.n_actions)[a]
+        if res.done:
+            ds.append(res.observation, a_prev, res.reward, 0.0, episode)
+            obs, a_prev, reward, episode = env.reset(), no_action, 0.0, episode + 1
+        else:
+            obs, reward = res.observation, res.reward
+    return ds
+
+
+def prior_path_mse(wm: WorldModel, ds: ExperienceDataset, rng) -> float:
+    """Per-dimension MSE of one-step predictions over the whole of ds.
+
+    ds runs as one window, so h_t carries the episode up to record t-1. Each
+    prediction decodes [h_t, z_t] with z_t drawn from the prior p(z | m_t),
+    never from the posterior of o_t itself. Records that start an episode
+    have no history and are left out.
+    """
+    n = len(ds)
+    resets = ds.reset_flags(np.array([0]), n)
+    with no_grad():
+        out = wm.forward_sequence(ds.obs[None, :n], ds.action[None, :n], resets, rng)
+        z = dists.sample_one_hot(out["prior_probs"].data, rng)
+        feats = np.concatenate([out["h"].data.reshape(n, -1), z.reshape(n, -1)], axis=1)
+        pred = wm.decoder(Tensor(feats)).data
+    keep = ~resets[0]
+    return float(((pred - ds.obs[:n])[keep] ** 2).mean())
+
+
+def linear_system_ratio(seed: int, updates: int) -> float:
+    """Prior-path MSE over the noise floor after `updates` world-model updates.
+
+    The held-out records come from the same env object as the training
+    records: a new env seed would draw a new system (M, N).
+    """
+    env = LinearSystemEnv(seed=seed)
+    data_rng = make_rng(seed, stream=21)
+    train = random_rollouts(env, TRAIN_STEPS, data_rng)
+    held_out = random_rollouts(env, HELD_OUT_STEPS, data_rng)
+    wm = WorldModel(make_rng(seed, stream=22), WmConfig(obs_dim=env.obs_dim, action_dim=env.n_actions))
+    opt = AdamW(wm.params(), lr=LR)
+    rng, sampler = make_rng(seed, stream=23), EtbsSampler(TAU)
+    for _ in range(updates):
+        total, _, _ = wm.loss(train.sample_batch(rng, BATCH, LENGTH, sampler), rng)
+        total.backward()
+        opt.step()
+    return prior_path_mse(wm, held_out, make_rng(seed, stream=24)) / env.one_step_noise_floor()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_world_model_learns_the_linear_system(seed):
+    assert linear_system_ratio(seed, UPDATES) <= GATE_RATIO
+
+
+def test_linear_system_gate_fails_without_learning():
+    # the untrained model, scored on the same held-out records, must fail
+    assert linear_system_ratio(0, 0) > GATE_RATIO

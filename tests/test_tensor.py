@@ -1,7 +1,11 @@
 """Gradient and contract tests for the autodiff core."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from sswm import tensor as T
 from sswm.tensor import GraphError, ShapeError, Tensor, backward, grad_check, make_rng
@@ -109,6 +113,59 @@ def test_detach_blocks_gradient():
     loss = T.tsum(T.mul(x.detach(), x))
     backward(loss)
     np.testing.assert_allclose(x.grad, [2.0])  # only the live branch
+
+
+# ---------------------------------------------------------------------------
+# gelu: the tanh form
+# ---------------------------------------------------------------------------
+
+
+def _gelu_tanh_scalar(v: float) -> float:
+    return 0.5 * v * (1.0 + math.tanh(math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)))
+
+
+def test_gelu_matches_scalar_tanh_reference():
+    # Relative to x: gelu(x) = x * p with p in [0, 1]. Where p is near 0 (x
+    # below about -2), one ulp of tanh is a large share of gelu(x) itself.
+    x = np.concatenate([np.linspace(-12.0, 12.0, 4801), make_rng(8).normal(0.0, 3.0, size=2000)])
+    got = T.gelu(Tensor(x)).data
+    ref = np.array([_gelu_tanh_scalar(v) for v in x])
+    assert (np.abs(got - ref) <= 1e-15 * np.abs(x)).all()
+    assert T.gelu(Tensor(1.5)).data == pytest.approx(_gelu_tanh_scalar(1.5), rel=1e-15)
+
+
+def test_gelu_stays_near_the_erf_form():
+    x = np.linspace(-12.0, 12.0, 24001)
+    exact = 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    assert np.abs(T.gelu(Tensor(x)).data - exact).max() <= 4.8e-4
+
+
+def test_gelu_gradient_matches_finite_differences():
+    # gelu is elementwise, so one central difference per coordinate probes
+    # that coordinate's derivative without the roundoff of a summed loss
+    x = np.linspace(-8.0, 8.0, 321)
+    leaf = Tensor(x, requires_grad=True)
+    backward(T.tsum(T.gelu(leaf)))
+    eps = 1e-6
+    fd = (T.gelu(Tensor(x + eps)).data - T.gelu(Tensor(x - eps)).data) / (2.0 * eps)
+    np.testing.assert_allclose(leaf.grad, fd, rtol=0.0, atol=1e-8)
+
+
+def test_gelu_is_finite_and_silent_on_every_finite_input():
+    big = np.array([1e300, 1e6, 30.0])
+    tiny = np.array([0.0, 5e-324, -5e-324])
+    x = Tensor(np.concatenate([big, -big, tiny]), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T.gelu(x)
+        backward(T.tsum(y))
+    n = len(big)
+    np.testing.assert_array_equal(y.data[:n], big)  # gelu(x) = x ...
+    np.testing.assert_array_equal(x.grad[:n], 1.0)  # ... with gradient 1
+    np.testing.assert_array_equal(y.data[n : 2 * n], 0.0)
+    np.testing.assert_array_equal(x.grad[n : 2 * n], 0.0)
+    assert (np.abs(y.data[2 * n :]) <= np.abs(tiny)).all()
+    np.testing.assert_array_equal(x.grad[2 * n :], 0.5)
 
 
 # ---------------------------------------------------------------------------
