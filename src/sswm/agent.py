@@ -319,10 +319,10 @@ class Subactor:
     def _train_actor(self, wm_out: dict, batch: dict, horizon: int, rng) -> dict:
         bsz, t_len = batch["reward"].shape
         n = bsz * t_len
-        start = LatentState(
-            h=wm_out["h"].data.reshape(n, self.wm.h_width),
-            z=dists.sample_one_hot(wm_out["prior_probs"].data, rng),
-        )
+        # Imagination starts where acting stands: the posterior z that the
+        # world-model loss drew, with the prior's entropy, as advance gives it.
+        z = wm_out["z"].data
+        start = LatentState(h=wm_out["h"].data.reshape(n, self.wm.h_width), z=z.reshape(n, *z.shape[2:]))
         start_entropy = dists.entropy_categorical_np(wm_out["prior_probs"].data).sum(axis=-1)
         goal_vec = self.goal_feature()
         hp1 = horizon + 1

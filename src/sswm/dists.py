@@ -4,21 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    _make,
-    _softmax,
-    _softmax_vjp,
-    add,
-    concat,
-    log,
-    logsumexp,
-    mul,
-    neg,
-    reshape,
-    straight_through,
-    tsum,
-)
+from .tensor import Tensor, _make, _softmax, _softmax_vjp, add, log, mul, neg, straight_through, tsum
 
 
 def symlog_np(x: np.ndarray) -> np.ndarray:
@@ -73,18 +59,20 @@ def entropy_categorical_np(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(p)).sum(axis=-1)
 
 
-def bernoulli_nll(logit: Tensor, target) -> Tensor:
-    """-log p(target) for a Bernoulli parameterized by a logit.
+def bernoulli_nll(logit: Tensor, target: np.ndarray) -> Tensor:
+    """-log p(target) for a Bernoulli parameterized by a logit, as one node.
 
-    softplus(logit) - target*logit, with softplus expressed as
-    logsumexp([logit, 0]) for stability.
+    softplus(logit) - target * logit, with softplus(x) = m + log(e^(x-m) +
+    e^-m) for m = max(x, 0), finite for every finite logit; the VJP is
+    g * (sigmoid(logit) - target), with sigmoid(x) = e^(x-m) / (e^(x-m) + e^-m).
+    The target is a constant.
     """
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    shape = logit.shape
-    stacked = concat(
-        [reshape(logit, shape + (1,)), Tensor(np.zeros(shape + (1,)))], axis=-1
-    )
-    return add(logsumexp(stacked, axis=-1), neg(mul(target, logit)))
+    x = logit.data
+    m = np.maximum(x, 0.0)
+    e = np.exp(x - m)
+    s = e + np.exp(-m)
+    out = m + np.log(s) - target * x
+    return _make(out, (logit,), lambda g: (g * (e / s) - g * target,))
 
 
 def free_bits(x: Tensor, floor: float) -> Tensor:

@@ -9,9 +9,10 @@ sequences may span episodes without leaking history across them.
 The recurrence has one implementation, a sequential scan with an analytic
 adjoint (tensor.linear_recurrence). Training runs it over whole windows from
 the zero state; online stepping runs the same scan over one step, resumed
-from the carried state, with a step context that holds every block's
-parameter-derived maps (lam_bar and the real drive and readout matrices), so
-a step builds none of them. Complex values have one packed real layout, each
+from the carried state, with a step context that holds, per block, the
+zero-order hold's (lam_bar, b_real): the diagonal and the real drive matrix,
+so a step builds neither. The readout matrix is the parameter c_mat itself,
+which the scan reads directly. Complex values have one packed real layout, each
 row [Re x | Im x] of width 2P: the input and output matrices are stored in it,
 the zero-order hold produces lam_bar and the drive matrix in it as two graph
 nodes with analytic VJPs, and states keep it from the drive through the scan
@@ -180,35 +181,26 @@ def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
     return lam_bar, b_real
 
 
-def block_maps(params: S5Params) -> tuple[Tensor, Tensor, Tensor]:
-    """(lam_bar, b_real, c_real): the ZOH diagonal and the scan's real matrices.
-
-    All three follow the packed [Re x | Im x] state layout and depend on
-    parameters only: lam_bar and b_real come from discretize, and c_real is
-    the parameter c_mat itself.
-    """
-    return (*discretize(params), params.c_mat)
-
-
 def scan_sequential(
     params: S5Params,
     u: Tensor,
     resets,
-    maps: tuple[Tensor, Tensor, Tensor] | None = None,
+    disc: tuple[Tensor, Tensor] | None = None,
     x0: Tensor | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Recurrent scan. u: (B,T,H); resets: (B,T) bool.
 
     Returns packed internal states x (B,T,2P), each row [Re x_t | Im x_t],
-    and outputs y_t = Re(C x_t) + D u_t (B,T,H). A reset at step t zeroes
-    the carried state before that step's update. The scan starts from x0
-    (B,2P), packed alike, when given, else from zero; maps is a precomputed
-    block_maps(params), built here when None.
+    and outputs y_t = Re(C x_t) + D u_t (B,T,H), read out through c_mat. A
+    reset at step t zeroes the carried state before that step's update. The
+    scan starts from x0 (B,2P), packed alike, when given, else from zero;
+    disc is a precomputed (lam_bar, b_real) = discretize(params), built
+    here when None.
     """
-    lam_bar, b_real, c_real = block_maps(params) if maps is None else maps
+    lam_bar, b_real = discretize(params) if disc is None else disc
     gates = 1.0 - np.asarray(resets, dtype=np.float64)
     x = linear_recurrence(lam_bar, matmul(u, b_real), gates, x0)
-    y = add(matmul(x, c_real), mul(u, params.d_vec))
+    y = add(matmul(x, params.c_mat), mul(u, params.d_vec))
     return x, y
 
 
@@ -265,13 +257,14 @@ class S5Stack:
         """
         return self._run(u, resets, self.discretized(), [None] * len(self.blocks))
 
-    def discretized(self) -> list[tuple[Tensor, Tensor, Tensor]]:
-        """The step context: per block (lam_bar, b_real, c_real) from block_maps.
+    def discretized(self) -> list[tuple[Tensor, Tensor]]:
+        """The step context: per block (lam_bar, b_real) from discretize.
 
         It depends on parameters only; step() callers build it once and reuse
-        it over many steps, and rebuild it after every parameter update.
+        it over many steps, and rebuild it after every parameter update. The
+        readout needs no entry: it is the parameter c_mat itself.
         """
-        return [block_maps(blk.s5) for blk in self.blocks]
+        return [discretize(blk.s5) for blk in self.blocks]
 
     def initial_state(self, batch: int) -> np.ndarray:
         """Zero packed state (the reset target), in the layout step() expects."""
@@ -282,7 +275,7 @@ class S5Stack:
         h_prev: Tensor,
         u: Tensor,
         reset: np.ndarray,
-        discretized: list[tuple[Tensor, Tensor, Tensor]],
+        discretized: list[tuple[Tensor, Tensor]],
     ) -> tuple[Tensor, Tensor]:
         """One online step: the sequence pass at T=1, resumed from h_prev.
 
@@ -290,7 +283,8 @@ class S5Stack:
         forward() returns, and each block resumes from its own slice of it;
         u: (B,H); reset: (B,) bool drops h_prev. The return
         is (m, h) with h in the same packed layout. discretized is the step
-        context, self.discretized(), built once and reused over many steps.
+        context, self.discretized(): per block (lam_bar, b_real), built once
+        and reused over many steps.
         """
         bsz, w = u.shape[0], 2 * self.state_dim
         x0s = [tslice(h_prev, (slice(None), slice(i * w, (i + 1) * w))) for i in range(len(self.blocks))]

@@ -71,7 +71,7 @@ class SubgoalAutoencoder:
         code = dists.sample_straight_through(probs, rng) if sample_mode == "sample" else probs
         recon = self.decode(code)
         resid = add(recon, neg(h.detach() if h.requires_grad else h))
-        recon_term = tmean(l2_norm(resid, axis=1))
+        recon_term = tmean(l2_norm(resid))
         uniform = Tensor(np.full(self.cfg.code_size, 1.0 / self.cfg.code_size))
         kl_term = tmean(tsum(dists.kl_categorical(probs, uniform), axis=-1))
         total = add(recon_term, mul(kl_term, Tensor(self.cfg.beta)))

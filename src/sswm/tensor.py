@@ -1,16 +1,26 @@
 """Minimal float64 tensor library with reverse-mode automatic differentiation.
 
 Everything downstream (state-space layers, world models, policies) is built on
-this fixed op set. Three layers are single graph nodes with analytic VJPs:
-affine (x @ w + b), layer_norm and linear_recurrence. The one activation,
-gelu, is the tanh form of GELU (the default of `jax.nn.gelu`, which the S5
-reference code calls): it stays within 4.7e-4 of the exact x * Phi(x), and
-at training shapes it costs less than half as much, because numpy's tanh is
-far cheaper than scipy's elementwise error function; at batch 1 it costs
-more, because it makes twice the ufunc calls. Tensors hold real float64
-arrays, so the whole engine is real-valued. Complex values have one layout:
-a trailing axis of width 2P packing [Re x | Im x] (P complex values per
-row), the layout of linear_recurrence's diagonal, drive and states.
+this fixed op set, each op in one form and called as a function (Tensor has
+no arithmetic operators): add, mul (both broadcasting), neg, log, gelu;
+tsum and tmean over all axes or one; softmax and l2_norm over the trailing
+axis; matmul, (..., k) @ (k, m); affine, layer_norm, linear_recurrence;
+concat, tslice, reshape and straight_through.
+
+Three layers are single graph nodes with analytic VJPs: affine, layer_norm
+and linear_recurrence. The one activation, gelu, is the tanh form of GELU
+(the default of `jax.nn.gelu`, which the S5 reference code calls): it stays
+within 4.7e-4 of the exact x * Phi(x), and at training shapes it costs less
+than half as much, because numpy's tanh is far cheaper than scipy's
+elementwise error function; at batch 1 it costs more, because it makes
+twice the ufunc calls. Tensors hold real float64 arrays, so the whole engine
+is real-valued. Complex values have one layout: a trailing axis of width 2P
+packing [Re x | Im x] (P complex values per row), the layout of
+linear_recurrence's diagonal, drive and states.
+
+`_make(data, parents, vjp)` is the one way to add a fused node, here or in
+another module: the node's value is computed in numpy, and the VJP maps the
+output gradient to one gradient per parent (None where none is needed).
 
 Graphs are write-once: a backward pass consumes the graph and a second call on
 the same loss raises. Forward passes are pure, so tensors may be shared
@@ -40,7 +50,6 @@ __all__ = [
     "log",
     "gelu",
     "softmax",
-    "logsumexp",
     "tsum",
     "tmean",
     "concat",
@@ -113,10 +122,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def detach(self) -> "Tensor":
         """Constant view of the value: blocks gradient flow (stop-gradient)."""
         return Tensor(self.data)
@@ -130,37 +135,8 @@ class Tensor:
     def backward(self) -> None:
         backward(self)
 
-    # Operator sugar; scalars and ndarrays are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -282,28 +258,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), lambda g: (_softmax_vjp(out, g, axis),))
 
 
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = m + np.log(s)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def vjp(g):
-        gg = np.expand_dims(g, axis) if not keepdims else g
-        return (gg * (e / s),)
-
-    return _make(out, (a,), vjp)
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _make(out, (a,), vjp)
@@ -311,18 +270,10 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
+    count = a.data.size if axis is None else a.shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, a.shape).copy(),)
 
     return _make(out, (a,), vjp)
@@ -334,34 +285,21 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for 1-D and 2-D operands, and (..., k) @ (k, m) -> (..., m).
+    """(..., k) @ (k, m) -> (..., m).
 
-    An a of more than two dims is flattened to rows (..., k) -> (N, k), so
-    the product is one 2-D matmul whatever the leading shape.
+    The leading axes of a are flattened to rows (..., k) -> (N, k), so the
+    product is one 2-D matmul whatever the leading shape.
     """
-    if a.data.ndim == 0 or b.data.ndim not in (1, 2) or (a.data.ndim > 2 and b.data.ndim != 2):
-        raise ShapeError(f"matmul: only 1-D/2-D or (..., k) @ (k, m) operands, got {a.shape} @ {b.shape}")
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: only (..., k) @ (k, m) operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    if a.data.ndim >= 2 and b.data.ndim == 2:
-        rows = a.data.reshape(-1, a.shape[-1])
-        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-        def vjp(g):
-            g_rows = g.reshape(-1, b.shape[1])
-            return (g_rows @ b.data.T).reshape(a.shape), rows.T @ g_rows
-
-        return _make(out, (a, b), vjp)
-    out = a.data @ b.data
+    rows = a.data.reshape(-1, a.shape[-1])
+    out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def vjp(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:  # dot product
-            return g * bd, g * ad
-        if ad.ndim == 2:  # (n,k)@(k,) -> (n,)
-            return np.outer(g, bd), ad.T @ g
-        # (k,)@(k,m) -> (m,)
-        return bd @ g, np.outer(ad, g)
+        g_rows = g.reshape(-1, b.shape[1])
+        return (g_rows @ b.data.T).reshape(a.shape), rows.T @ g_rows
 
     return _make(out, (a, b), vjp)
 
@@ -407,19 +345,14 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     return _make(out, (x, scale, shift), vjp)
 
 
-def l2_norm(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    sq = (a.data * a.data).sum(axis=axis, keepdims=keepdims)
-    out = np.sqrt(sq)
+def l2_norm(a: Tensor) -> Tensor:
+    """Euclidean norm over the trailing axis: (..., n) -> (...)."""
+    out = np.sqrt((a.data * a.data).sum(axis=-1))
 
     def vjp(g):
         # Subgradient 0 at the origin.
         denom = np.where(out == 0.0, 1.0, out)
-        gg = g / denom
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        elif axis is None:
-            gg = np.asarray(gg)
-        return (gg * a.data,)
+        return ((g / denom)[..., None] * a.data,)
 
     return _make(out, (a,), vjp)
 
@@ -430,7 +363,6 @@ def l2_norm(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
 
     def vjp(g):
@@ -547,7 +479,10 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor 
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; grads accumulate into leaves.
 
-    The graph is consumed: calling backward twice on the same loss raises.
+    Each node sums the gradients it receives in its own .grad; in reverse
+    topological order, an inner node's VJP runs on that sum and its .grad is
+    cleared. The graph is consumed: calling backward twice on the same loss
+    raises.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -573,25 +508,17 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    seed = np.ones_like(loss.data)
+    loss.grad = seed if loss.grad is None else loss.grad + seed
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is not None:
-            parent_grads = node._vjp(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if not p.requires_grad or pg is None:
-                    continue
-                if id(p) in grads:
-                    grads[id(p)] = grads[id(p)] + pg
-                else:
-                    grads[id(p)] = pg
-            node._vjp = None
-            node._consumed = True
-        else:
-            # Leaf: accumulate into .grad.
-            node.grad = g if node.grad is None else node.grad + g
+        if node._vjp is None or node.grad is None:
+            continue  # a leaf keeps its .grad
+        for p, pg in zip(node._parents, node._vjp(node.grad)):
+            if p.requires_grad and pg is not None:
+                p.grad = pg if p.grad is None else p.grad + pg
+        node.grad = None
+        node._vjp = None
+        node._consumed = True
     loss._consumed = True
 
 
@@ -602,9 +529,6 @@ class GradCheckReport:
     max_rel_err: float = 0.0
     max_abs_err: float = 0.0
     per_leaf: dict = field(default_factory=dict)
-
-    def ok(self, tol: float) -> bool:
-        return self.max_rel_err < tol
 
 
 def grad_check(

@@ -216,7 +216,7 @@ class WorldModel:
         reward_target = Tensor(dists.symlog_np(batch["reward"].reshape(-1)))
         r_err = add(out["reward_sym"], neg(reward_target))
         reward_nll = mul(tmean(mul(r_err, r_err)), Tensor(0.5))
-        continue_nll = tmean(dists.bernoulli_nll(out["cont_logit"], Tensor(batch["cont"].reshape(-1))))
+        continue_nll = tmean(dists.bernoulli_nll(out["cont_logit"], batch["cont"].reshape(-1)))
         o_err = add(out["obs_pred"], neg(Tensor(obs.reshape(bsz * t_len, -1))))
         obs_nll = tmean(mul(tsum(mul(o_err, o_err), axis=1), Tensor(0.5)))
         l_pred = add(add(reward_nll, continue_nll), obs_nll)
@@ -232,7 +232,7 @@ class WorldModel:
             l_pred=l_pred.item(),
             l_dyn=l_dyn.item(),
             l_rep=l_rep.item(),
-            total=l_pred.item() + self.cfg.a_dyn * l_dyn.item() + self.cfg.a_rep * l_rep.item(),
+            total=total.item(),
             reward_nll=reward_nll.item(),
             continue_nll=continue_nll.item(),
             obs_nll=obs_nll.item(),
@@ -242,7 +242,7 @@ class WorldModel:
     # -- stepwise interface ---------------------------------------------------
 
     def step_context(self):
-        """The S5 step context (per block lam_bar, b_real, c_real), reused over many online steps."""
+        """The S5 step context (per block lam_bar, b_real), reused over many online steps."""
         return self.stack.discretized()
 
     def wm_step(
@@ -251,7 +251,7 @@ class WorldModel:
         z_prev: Tensor,
         a_prev: Tensor,
         reset: np.ndarray,
-        ctx: list[tuple[Tensor, Tensor, Tensor]],
+        ctx: list[tuple[Tensor, Tensor]],
     ) -> tuple[Tensor, Tensor]:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (m_t, h_t).
 

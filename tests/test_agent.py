@@ -186,6 +186,30 @@ def test_actor_features_built_once_per_rollout(monkeypatch):
         np.testing.assert_array_equal(seen["feats"][:, t], ref)
 
 
+def test_imagination_starts_from_the_posterior(monkeypatch):
+    env, agent = tiny_agent(6, depth=1, k=2)
+    drive(agent, env, 12)
+    lvl = agent.levels[0]
+    loss, imagine = lvl.wm.loss, lvl.wm.imagine
+    seen = {}
+
+    def recording_loss(*args, **kwargs):
+        total, report, seen["out"] = loss(*args, **kwargs)
+        return total, report, seen["out"]
+
+    def recording_imagine(start, *args, **kwargs):
+        seen["start"] = start
+        return imagine(start, *args, **kwargs)
+
+    monkeypatch.setattr(lvl.wm, "loss", recording_loss)
+    monkeypatch.setattr(lvl.wm, "imagine", recording_imagine)
+    assert lvl.train_step(2, 3, EtbsSampler(0.3), 2, make_rng(6, stream=2)) is not None
+    # the start states are the window's (h, z), z as the world-model loss drew it
+    z, start = seen["out"]["z"].data, seen["start"]
+    np.testing.assert_array_equal(start.z, z.reshape(-1, *z.shape[2:]))
+    np.testing.assert_array_equal(start.h, seen["out"]["h"].data.reshape(len(start.z), -1))
+
+
 def test_step_context_follows_train_step():
     env, agent = tiny_agent(7, depth=1, k=2)
     drive(agent, env, 12)
