@@ -12,8 +12,10 @@ it has no subgoal stream: TOP_MIX leaves it out, and the top actor-critic
 builds no subgoal value head and computes no subgoal reward.
 
 Actor-critics train by REINFORCE on imagined rollouts of their own world
-model: lambda-returns per stream from that stream's own value head, a mixed
-baseline subtracted from the mixed return, and an entropy bonus.
+model. The reward streams share one trailing array axis in mix order; each
+stream's lambda-return bootstraps from its own value head, and the advantage
+is the mixed return minus the mixed baseline. GAMMA, LAM and ENTROPY_COEF are
+module constants, and every optimizer runs at AdamW's default learning rate.
 """
 
 from __future__ import annotations
@@ -28,12 +30,16 @@ from . import dists
 from .nn import MLP, AdamW
 from .replay import ExperienceDataset
 from .subgoal import SubgoalAutoencoder, SubgoalConfig
-from .tensor import Tensor, add, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tsum
+from .tensor import Tensor, add, concat, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tslice, tsum
 from .worldmodel import LatentState, WmConfig, WorldModel
 
 # read-only: every level's actor-critic holds one of these two by reference
 MIX = MappingProxyType({"extr": 1.0, "g": 0.3, "nov": 0.1})
 TOP_MIX = MappingProxyType({s: w for s, w in MIX.items() if s != "g"})
+# lambda-return discount and mixing; DreamerV3 (arXiv 2301.04104) has lambda 0.95, gamma 0.997
+GAMMA = 0.99
+LAM = 0.95
+ENTROPY_COEF = 3e-3  # 10x DreamerV3's 3e-4, which scales normalized returns (ROADMAP item 1.b)
 
 
 def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
@@ -63,12 +69,13 @@ def lambda_returns(rewards, conts, values, gamma: float, lam: float) -> np.ndarr
     """Bootstrapped lambda-returns over an imagined rollout.
 
     rewards/conts/values: (B, H+1) aligned to states (index 0 is the start
-    state; rewards[t] was received on arriving at state t). Returns (B, H)
+    state; rewards[t] was received on arriving at state t), or with a stream
+    axis: rewards/values (B, H+1, S), conts (B, H+1, 1). Returns (B, H[, S])
     with R_t = r_{t+1} + gamma*c_{t+1}*((1-lam)*V_{t+1} + lam*R_{t+1}) and
     R_H = V_H as the bootstrap.
     """
     horizon = rewards.shape[1] - 1
-    out = np.empty((rewards.shape[0], horizon))
+    out = np.empty((rewards.shape[0], horizon, *rewards.shape[2:]))
     nxt = values[:, horizon]
     for t in range(horizon - 1, -1, -1):
         out[:, t] = rewards[:, t + 1] + gamma * conts[:, t + 1] * (
@@ -84,9 +91,6 @@ class AcConfig:
     action_groups: int
     action_classes: int
     mlp_units: int = 64
-    gamma: float = 0.99
-    lam: float = 0.95
-    entropy_coef: float = 3e-3
 
 
 class ActorCritic:
@@ -123,9 +127,9 @@ class ActorCritic:
         ent = tsum(dists.entropy_categorical(probs), axis=-1)
         return lp, ent
 
-    def values(self, feats: Tensor) -> dict[str, Tensor]:
-        n = feats.shape[0]
-        return {s: reshape(head(feats), (n,)) for s, head in self.heads.items()}
+    def values(self, feats: Tensor) -> Tensor:
+        """Every stream's value, (N, S) with the streams in mix order."""
+        return concat([head(feats) for head in self.heads.values()], axis=1)
 
 
 def reinforce_loss(
@@ -135,44 +139,32 @@ def reinforce_loss(
     rewards: dict[str, np.ndarray],
     conts: np.ndarray,
 ) -> tuple[Tensor, dict]:
-    """REINFORCE policy loss + per-stream value regressions on one rollout.
+    """REINFORCE policy loss + the value regressions of every stream on one rollout.
 
     feats: (B, H+1, F) states; actions: (B, H, G, K); rewards: (B, H+1) for
-    each stream of ac.mix; conts: (B, H+1). Per stream s the lambda-return
-    R^s uses only that stream's rewards and value head; the policy advantage
-    is the ac.mix-weighted return minus the weighted baseline, fully
-    detached.
+    each stream of ac.mix; conts: (B, H+1). The S streams share one trailing
+    axis in mix order; each stream's lambda-return R bootstraps from its own
+    value head. The advantage (R - V) @ mix weights is fully detached, and
+    the value loss is 0.5*S*mean((V - R)^2) over positions 0..H-1.
     """
     bsz, hp1, fdim = feats.shape
     horizon = hp1 - 1
     if horizon < 1:
         raise ValueError("need at least one imagined transition")
+    n_streams = len(ac.mix)
 
-    flat_all = Tensor(feats.reshape(bsz * hp1, fdim))
-    values = ac.values(flat_all)
-    values_np = {s: v.data.reshape(bsz, hp1) for s, v in values.items()}
-    returns = {
-        s: lambda_returns(rewards[s], conts, values_np[s], ac.cfg.gamma, ac.cfg.lam) for s in ac.mix
-    }
-    mixed_return = sum(w * returns[s] for s, w in ac.mix.items())
-    mixed_value = sum(w * values_np[s][:, :horizon] for s, w in ac.mix.items())
-    adv = mixed_return - mixed_value  # (B, H), detached by construction
+    values = reshape(ac.values(Tensor(feats.reshape(bsz * hp1, fdim))), (bsz, hp1, n_streams))
+    stacked = np.stack([rewards[s] for s in ac.mix], axis=-1)
+    returns = lambda_returns(stacked, conts[..., None], values.data, GAMMA, LAM)
+    adv = (returns - values.data[:, :horizon]) @ np.fromiter(ac.mix.values(), float)  # (B, H)
 
     feats_t = Tensor(feats[:, :horizon].reshape(bsz * horizon, fdim))
     lp, ent = ac.log_prob_entropy(feats_t, actions.reshape(bsz * horizon, *actions.shape[2:]))
     pg = neg(tmean(mul(lp, Tensor(adv.reshape(-1)))))
-    policy_loss = add(pg, neg(mul(tmean(ent), Tensor(ac.cfg.entropy_coef))))
+    policy_loss = add(pg, neg(mul(tmean(ent), Tensor(ENTROPY_COEF))))
 
-    value_loss = Tensor(0.0)
-    for s in ac.mix:
-        # regress positions 0..H-1 onto their (detached) lambda-return targets;
-        # the mask zeroes the bootstrap position, the scale restores the mean
-        target = np.zeros(bsz * hp1)
-        target.reshape(bsz, hp1)[:, :horizon] = returns[s]
-        mask = np.zeros(bsz * hp1)
-        mask.reshape(bsz, hp1)[:, :horizon] = 1.0
-        err = mul(add(values[s], neg(Tensor(target))), Tensor(mask))
-        value_loss = add(value_loss, mul(tmean(mul(err, err)), Tensor(0.5 * hp1 / horizon)))
+    err = add(tslice(values, (slice(None), slice(0, horizon))), Tensor(-returns))
+    value_loss = mul(tmean(mul(err, err)), Tensor(0.5 * n_streams))
 
     total = add(policy_loss, value_loss)
     report = {
@@ -180,7 +172,7 @@ def reinforce_loss(
         "value_loss": value_loss.item(),
         "entropy": ent.data.mean(),
         "adv_mean": float(adv.mean()),
-        **{f"return_{s}": float(r.mean()) for s, r in returns.items()},
+        **{f"return_{s}": float(returns[..., i].mean()) for i, s in enumerate(ac.mix)},
     }
     return total, report
 
@@ -195,36 +187,24 @@ class LevelConfig:
 class Subactor:
     """One hierarchy level: world model + actor-critic + subgoal autoencoder."""
 
-    def __init__(self, rng: np.random.Generator, cfg: LevelConfig, mix: Mapping[str, float], lr: float):
+    def __init__(self, rng: np.random.Generator, cfg: LevelConfig, mix: Mapping[str, float]):
         self.cfg = cfg
         self.wm = WorldModel(rng, cfg.wm)
         self.ae = SubgoalAutoencoder(rng, cfg.sg)
         self.ac = ActorCritic(rng, cfg.ac, mix)
         self.replay = ExperienceDataset(cfg.wm.obs_dim, cfg.wm.action_dim)
-        self.wm_opt = AdamW(self.wm.params(), lr=lr)
-        self.ae_opt = AdamW(self.ae.params(), lr=lr)
-        self.ac_opt = AdamW(self.ac.params(), lr=lr)
+        self.wm_opt = AdamW(self.wm.params())
+        self.ae_opt = AdamW(self.ae.params())
+        self.ac_opt = AdamW(self.ac.params())
         # online state
         self.h = np.zeros((1, self.wm.h_width))
         self.z = np.zeros((1, cfg.wm.n_cats, cfg.wm.n_classes))
         self.a_prev = np.zeros((1, cfg.wm.action_dim))
         self.goal_codes = np.zeros((cfg.sg.n_codes, cfg.sg.code_size))
-        self._goal_dec: np.ndarray | None = None  # the held goal decoded; None when stale
         self._ctx = None
         self.action_emissions = 0
 
     # -- goal plumbing -------------------------------------------------------
-
-    def set_goal(self, codes: np.ndarray) -> None:
-        self.goal_codes = codes
-        self._goal_dec = None
-
-    def decoded_goal(self) -> np.ndarray:
-        """Own-decoder decoding of the currently held goal (cached per goal)."""
-        if self._goal_dec is None:
-            with no_grad():
-                self._goal_dec = self.ae.decode(Tensor(self.goal_codes.reshape(1, -1))).data[0]
-        return self._goal_dec
 
     def goal_feature(self) -> np.ndarray:
         """The held goal as the policy sees it: its flattened codes."""
@@ -258,7 +238,7 @@ class Subactor:
                 self.z = np.zeros_like(self.z)
                 self.a_prev = np.zeros_like(self.a_prev)
             if self._ctx is None:
-                self._ctx = self.wm.step_context()
+                self._ctx = self.wm.stack.discretized()
             post_logits = self.wm.encode(Tensor(obs[None, :]))
             z_t = dists.sample_one_hot(self.wm.probs(post_logits).data, rng)
             m, h_t = self.wm.wm_step(
@@ -305,7 +285,6 @@ class Subactor:
         ae_total, ae_report = self.ae.loss(Tensor(h_states), rng)
         ae_total.backward()
         self.ae_opt.step()
-        self._goal_dec = None
         report["ae"] = ae_report
 
         report["ac"] = self._train_actor(out, batch, horizon, rng)
@@ -342,7 +321,9 @@ class Subactor:
         nov = self.ae.novelty(traj["h"].transpose(1, 0, 2).reshape(hp1 * n, -1), rng).reshape(hp1, n).T
         rewards = {"extr": traj["reward"], "nov": nov}
         if "g" in self.ac.mix:
-            rewards["g"] = subgoal_reward(self.decoded_goal(), traj["h"])
+            with no_grad():
+                goal = self.ae.decode(Tensor(self.goal_codes.reshape(1, -1))).data[0]
+            rewards["g"] = subgoal_reward(goal, traj["h"])
         actions = traj["action"].reshape(n, horizon, self.cfg.ac.action_groups, self.cfg.ac.action_classes)
         total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"])
         total.backward()
@@ -440,7 +421,7 @@ class HierarchicalAgent:
         win = self._windows[i - 1]
         self._windows[i - 1] = _Window()
         goal = self._step_level(i, uplink_observation(win.states, self.k), win.reward, win.cont, win.reset)
-        self.levels[i - 1].set_goal(goal)
+        self.levels[i - 1].goal_codes = goal
         if i < self.depth - 1:
             self._windows[i].add(win.reward, win.cont)
 
@@ -468,7 +449,6 @@ def build_agent(
     wm_kwargs: dict | None = None,
     sg_kwargs: dict | None = None,
     ac_kwargs: dict | None = None,
-    lr: float = 1e-4,
 ) -> HierarchicalAgent:
     """Construct a depth-level stack with consistent inter-level widths.
 
@@ -497,7 +477,7 @@ def build_agent(
             **ac_kwargs,
         )
         cfg = LevelConfig(wm=wm_cfg, sg=sg_cfg, ac=ac_cfg)
-        levels.append(Subactor(rng, cfg, MIX if i < depth - 1 else TOP_MIX, lr=lr))
+        levels.append(Subactor(rng, cfg, MIX if i < depth - 1 else TOP_MIX))
         # dimensions seen by the next level up
         obs_dim = k * (h_width + wm_cfg.z_flat)
         action_groups, action_classes = sg_cfg.n_codes, sg_cfg.code_size

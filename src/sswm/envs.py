@@ -155,19 +155,20 @@ class LinearSystemEnv:
     the analytic floor used in accuracy tests.
     """
 
+    N_ACTIONS = 4  # one push per column of N; as many actions as the gridworld has moves
+
     def __init__(
         self,
         dim: int = 3,
         noise_std: float = 0.05,
         seed: int = 0,
-        n_actions: int = 4,
         horizon: int = 32,
         m_mat: np.ndarray | None = None,
         n_mat: np.ndarray | None = None,
     ):
         self.dim = dim
         self.obs_dim = dim
-        self.n_actions = n_actions
+        self.n_actions = self.N_ACTIONS
         self.noise_std = noise_std
         self.horizon = horizon
         rng = make_rng(seed, stream=303)
@@ -177,7 +178,7 @@ class LinearSystemEnv:
             m_mat = 0.8 * m_mat / radius
         self.m_mat = np.asarray(m_mat, dtype=np.float64)
         if n_mat is None:
-            n_mat = 0.5 * rng.normal(size=(dim, n_actions))
+            n_mat = 0.5 * rng.normal(size=(dim, self.N_ACTIONS))
         self.n_mat = np.asarray(n_mat, dtype=np.float64)
         self._rng = rng
         self._x = np.zeros(dim)
@@ -214,17 +215,11 @@ class LinearSystemEnv:
         return EnvStep(obs, -float(self._x @ self._x), self._done, {"state": self._x.copy()})
 
 
-def make_env(name: str, size: int = 8, seed: int = 0, **kwargs):
-    """Environment registry used by config keys env.name / env.size / env.seed."""
-    if name == "memory_cue":
-        return MemoryCueEnv(length=kwargs.get("length", 20), n_cues=kwargs.get("n_cues", 4), seed=seed)
-    if name == "gridworld":
-        return TwoLevelGridworld(size=size, seed=seed, max_steps=kwargs.get("max_steps"))
-    if name == "linear":
-        return LinearSystemEnv(
-            dim=kwargs.get("dim", 3),
-            noise_std=kwargs.get("noise_std", 0.05),
-            seed=seed,
-            horizon=kwargs.get("horizon", 32),
-        )
-    raise ValueError(f"unknown env {name!r}")
+ENVS = {"memory_cue": MemoryCueEnv, "gridworld": TwoLevelGridworld, "linear": LinearSystemEnv}
+
+
+def make_env(name: str, seed: int = 0, **kwargs):
+    """Build the environment registered as `name`; kwargs go to its constructor."""
+    if name not in ENVS:
+        raise ValueError(f"unknown env {name!r}")
+    return ENVS[name](seed=seed, **kwargs)

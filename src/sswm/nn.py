@@ -10,12 +10,16 @@ import numpy as np
 
 from .tensor import Tensor, affine, gelu, layer_norm
 
+LN_EPS = 1e-6  # LayerNorm's variance floor, flax.linen.LayerNorm's default
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, arXiv 1412.6980)
+CLIP_NORM = 100.0  # global gradient-norm bound, DreamerV3's actor-critic clip (arXiv 2301.04104)
+
 
 class Linear:
     """Affine map for 2-D inputs: (N, n_in) -> (N, n_out), one tensor.affine node."""
 
-    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int, scale: float | None = None):
-        std = (1.0 / np.sqrt(n_in)) if scale is None else scale
+    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int):
+        std = 1.0 / np.sqrt(n_in)  # LeCun normal
         self.w = Tensor(rng.normal(0.0, std, size=(n_in, n_out)), requires_grad=True)
         self.b = Tensor(np.zeros(n_out), requires_grad=True)
 
@@ -49,13 +53,12 @@ class MLP:
 class LayerNorm:
     """Normalization over the trailing axis with learned scale and shift, one tensor.layer_norm node."""
 
-    def __init__(self, width: int, eps: float = 1e-6):
+    def __init__(self, width: int):
         self.scale = Tensor(np.ones(width), requires_grad=True)
         self.shift = Tensor(np.zeros(width), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.scale, self.shift, self.eps)
+        return layer_norm(x, self.scale, self.shift, LN_EPS)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.scale": self.scale, f"{prefix}.shift": self.shift}
@@ -64,28 +67,17 @@ class LayerNorm:
 class AdamW:
     """Adam with decoupled weight decay and global gradient-norm clipping.
 
+    Betas, eps and the clip bound are the fixed constants BETA1, BETA2,
+    ADAM_EPS and CLIP_NORM; lr defaults to DreamerV3's world-model rate.
     A step whose gradient norm is not finite is skipped whole: parameters,
     moments and the step count t stay as they were, the grads are cleared,
     and the skip is counted in `skipped`.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        clip_norm: float = 100.0,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
         self.t = 0
         self.skipped = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -104,22 +96,20 @@ class AdamW:
             self.skipped += 1
             return norm
         self.t += 1
-        scale = 1.0
-        if self.clip_norm is not None and norm > self.clip_norm:
-            scale = self.clip_norm / (norm + 1e-12)
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        scale = CLIP_NORM / (norm + 1e-12) if norm > CLIP_NORM else 1.0
+        b1c = 1.0 - BETA1**self.t
+        b2c = 1.0 - BETA2**self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad * scale
             m = self._m[k]
             v = self._v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * update

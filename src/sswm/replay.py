@@ -23,6 +23,8 @@ import numpy as np
 from scipy.special import digamma
 
 _EULER_GAMMA = 0.5772156649015328606
+# weight floor of the O(n) baseline, so an index at or above its target count stays drawable
+BASELINE_EPS = 1e-3
 
 
 class DomainError(ValueError):
@@ -122,8 +124,7 @@ class TimeBalancedBaseline:
 
     name = "tb_baseline"
 
-    def __init__(self, eps: float = 1e-3):
-        self.eps = eps
+    def __init__(self):
         self.counts = np.zeros(0, dtype=np.int64)
         self.total = 0
 
@@ -133,7 +134,7 @@ class TimeBalancedBaseline:
             grown[: self.counts.size] = self.counts
             self.counts = grown
         target = (self.total + 1) / n
-        w = np.maximum(self.eps, target - self.counts[:n])
+        w = np.maximum(BASELINE_EPS, target - self.counts[:n])
         w = w / w.sum()
         idx = int(rng.choice(n, p=w)) + 1
         self.counts[idx - 1] += 1

@@ -21,6 +21,8 @@ from . import dists
 from .nn import MLP
 from .tensor import Tensor, add, l2_norm, mul, neg, no_grad, reshape, softmax, tmean, tsum
 
+KL_BETA = 0.5  # weight of the KL pull toward the uniform code prior; set here, not tuned
+
 
 @dataclass
 class SubgoalConfig:
@@ -28,7 +30,6 @@ class SubgoalConfig:
     n_codes: int = 8
     code_size: int = 8
     mlp_units: int = 64
-    beta: float = 0.5
 
     @property
     def flat(self) -> int:
@@ -64,7 +65,7 @@ class SubgoalAutoencoder:
         return self.decoder(codes)
 
     def loss(self, h: Tensor, rng: np.random.Generator, sample_mode: str = "sample") -> tuple[Tensor, dict]:
-        """L2 reconstruction of h from one sampled code + beta * KL(codes || uniform)."""
+        """L2 reconstruction of h from one sampled code + KL_BETA * KL(codes || uniform)."""
         n = h.shape[0]
         logits = reshape(self.encoder(h), (n, self.cfg.n_codes, self.cfg.code_size))
         probs = softmax(logits, axis=-1)
@@ -74,7 +75,7 @@ class SubgoalAutoencoder:
         recon_term = tmean(l2_norm(resid))
         uniform = Tensor(np.full(self.cfg.code_size, 1.0 / self.cfg.code_size))
         kl_term = tmean(tsum(dists.kl_categorical(probs, uniform), axis=-1))
-        total = add(recon_term, mul(kl_term, Tensor(self.cfg.beta)))
+        total = add(recon_term, mul(kl_term, Tensor(KL_BETA)))
         return total, {"recon": recon_term.item(), "kl": kl_term.item(), "total": total.item()}
 
     def novelty(self, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -34,6 +34,13 @@ from .tensor import (
     tsum,
 )
 
+# DreamerV3's (arXiv 2301.04104) uniform mixture, KL weights and free-bits floor in nats
+UNIMIX = 0.01
+A_DYN = 0.5  # trains the prior
+A_REP = 0.1  # trains the posterior
+FREE_BITS = 1.0
+INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
+
 
 @dataclass
 class WmConfig:
@@ -44,12 +51,7 @@ class WmConfig:
     model_dim: int = 32
     state_dim: int = 16
     n_blocks: int = 2
-    init_blocks: int = 2
     mlp_units: int = 64
-    unimix: float = 0.01
-    a_dyn: float = 0.5
-    a_rep: float = 0.1
-    free_bits: float = 1.0
 
     @property
     def z_flat(self) -> int:
@@ -91,7 +93,7 @@ class WorldModel:
         c = cfg
         self.encoder = MLP(rng, [c.obs_dim, c.mlp_units, c.z_flat])
         self.in_proj = Linear(rng, c.z_flat + c.action_dim, c.model_dim)
-        self.stack = S5Stack(rng, c.model_dim, c.state_dim, c.n_blocks, c.init_blocks)
+        self.stack = S5Stack(rng, c.model_dim, c.state_dim, c.n_blocks, INIT_BLOCKS)
         self.h_width = c.h_width
         self.dyn = MLP(rng, [c.model_dim, c.mlp_units, c.z_flat])
         feat = self.h_width + c.z_flat
@@ -128,7 +130,7 @@ class WorldModel:
         return reshape(self.dyn(m), (n, self.cfg.n_cats, self.cfg.n_classes))
 
     def probs(self, logits: Tensor) -> Tensor:
-        return dists.unimix_probs(logits, self.cfg.unimix)
+        return dists.unimix_probs(logits, UNIMIX)
 
     def sample(self, logits: Tensor, rng: np.random.Generator) -> Tensor:
         """Unimixed straight-through one-hot sample of shape (N, n_cats, n_classes)."""
@@ -189,9 +191,7 @@ class WorldModel:
         reward_sym, cont_logit = self.predict_heads(feats)
         obs_pred = self.decoder(feats)
         return {
-            "post_logits": post_logits,
             "post_probs": post_probs,
-            "prior_logits": prior_logits,
             "prior_probs": self.probs(prior_logits),
             "z": z,
             "m": m,
@@ -224,10 +224,10 @@ class WorldModel:
         post, prior = out["post_probs"], out["prior_probs"]
         kl_dyn = tsum(dists.kl_categorical(post.detach(), prior), axis=-1)
         kl_rep = tsum(dists.kl_categorical(post, prior.detach()), axis=-1)
-        l_dyn = tmean(dists.free_bits(kl_dyn, self.cfg.free_bits))
-        l_rep = tmean(dists.free_bits(kl_rep, self.cfg.free_bits))
+        l_dyn = tmean(dists.free_bits(kl_dyn, FREE_BITS))
+        l_rep = tmean(dists.free_bits(kl_rep, FREE_BITS))
 
-        total = add(l_pred, add(mul(l_dyn, Tensor(self.cfg.a_dyn)), mul(l_rep, Tensor(self.cfg.a_rep))))
+        total = add(l_pred, add(mul(l_dyn, Tensor(A_DYN)), mul(l_rep, Tensor(A_REP))))
         report = WmLossReport(
             l_pred=l_pred.item(),
             l_dyn=l_dyn.item(),
@@ -241,10 +241,6 @@ class WorldModel:
 
     # -- stepwise interface ---------------------------------------------------
 
-    def step_context(self):
-        """The S5 step context (per block lam_bar, b_real), reused over many online steps."""
-        return self.stack.discretized()
-
     def wm_step(
         self,
         h_prev: Tensor,
@@ -256,7 +252,8 @@ class WorldModel:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (m_t, h_t).
 
         z_prev: (B, n_cats, n_classes) one-hots (flattened internally);
-        reset True drops all dependence on h_prev; ctx is step_context().
+        reset True drops all dependence on h_prev; ctx is the S5 step context,
+        self.stack.discretized(), reused over many steps.
         """
         bsz = h_prev.shape[0]
         zf = reshape(z_prev, (bsz, self.cfg.z_flat))
@@ -284,7 +281,7 @@ class WorldModel:
         bsz = start.h.shape[0]
         c = self.cfg
         with no_grad():
-            ctx = self.step_context()
+            ctx = self.stack.discretized()
             h = np.empty((bsz, horizon + 1, start.h.shape[1]))
             z = np.empty((bsz, horizon + 1, c.n_cats, c.n_classes))
             actions = np.empty((bsz, horizon, c.action_dim))

@@ -1,4 +1,4 @@
-"""Hierarchical agent tests: the subgoal reward, the clock and the full train step."""
+"""Hierarchical agent tests: the subgoal reward, the clock, the full train step, lambda-returns and the actor-critic loss."""
 
 import copy
 
@@ -8,10 +8,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sswm import agent as agent_module
-from sswm.agent import MIX, ActorCritic, Subactor, build_agent, subgoal_reward
+from sswm import dists, tensor
+from sswm.agent import (
+    ENTROPY_COEF,
+    GAMMA,
+    LAM,
+    MIX,
+    TOP_MIX,
+    AcConfig,
+    ActorCritic,
+    Subactor,
+    build_agent,
+    lambda_returns,
+    reinforce_loss,
+    subgoal_reward,
+)
 from sswm.envs import make_env
 from sswm.replay import EtbsSampler
-from sswm.tensor import Tensor, make_rng, no_grad
+from sswm.tensor import Tensor, add, make_rng, mul, neg, no_grad, reshape, tmean
 
 TINY = dict(
     wm_kwargs=dict(n_cats=2, n_classes=4, model_dim=8, state_dim=4, mlp_units=8),
@@ -246,3 +260,131 @@ def test_top_level_trains_no_subgoal_stream(monkeypatch):
     assert len(calls) == 1  # level 0's train step only
     assert {"return_extr", "return_g", "return_nov"} <= set(reports[0]["ac"])
     assert {"return_extr", "return_nov"} <= set(reports[1]["ac"]) and "return_g" not in reports[1]["ac"]
+
+
+# ---------------------------------------------------------------------------
+# lambda-returns and the actor-critic loss
+# ---------------------------------------------------------------------------
+
+
+def random_rollout(seed, bsz=3, hp1=5, streams=3):
+    rng = make_rng(seed)
+    rewards = rng.normal(size=(bsz, hp1, streams))
+    conts = (rng.random((bsz, hp1, 1)) > 0.2) * rng.uniform(0.5, 1.0, size=(bsz, hp1, 1))
+    return rewards, conts, rng.normal(size=(bsz, hp1, streams))
+
+
+def test_lambda_returns_at_lambda_one_is_the_discounted_sum():
+    gamma = 0.9
+    rewards, conts, values = (a[..., 0] for a in random_rollout(30))
+    horizon = rewards.shape[1] - 1
+    want = np.empty((rewards.shape[0], horizon))
+    for t in range(horizon):
+        total, carry = 0.0, 1.0  # carry: gamma^(j-t-1) times the continuation product over (t, j)
+        for j in range(t + 1, horizon + 1):
+            total = total + carry * rewards[:, j]
+            carry = carry * gamma * conts[:, j]
+        want[:, t] = total + carry * values[:, horizon]
+    np.testing.assert_allclose(lambda_returns(rewards, conts, values, gamma, 1.0), want, rtol=1e-12)
+
+
+def test_lambda_returns_at_lambda_zero_is_the_one_step_target():
+    gamma = 0.9
+    rewards, conts, values = (a[..., 0] for a in random_rollout(31))
+    want = rewards[:, 1:] + gamma * conts[:, 1:] * values[:, 1:]
+    np.testing.assert_allclose(lambda_returns(rewards, conts, values, gamma, 0.0), want, rtol=1e-14)
+
+
+def test_lambda_returns_stream_axis_matches_per_stream_calls():
+    rewards, conts, values = random_rollout(32)
+    got = lambda_returns(rewards, conts, values, 0.99, 0.95)
+    assert got.shape == (3, 4, 3)
+    for s in range(3):
+        np.testing.assert_array_equal(got[..., s], lambda_returns(rewards[..., s], conts[..., 0], values[..., s], 0.99, 0.95))
+
+
+def reference_reinforce_loss(ac, feats, actions, rewards, conts):
+    """One lambda-return, one masked value regression per stream, each from its own head."""
+    bsz, hp1, fdim = feats.shape
+    horizon = hp1 - 1
+    flat_all = Tensor(feats.reshape(bsz * hp1, fdim))
+    values = {s: reshape(head(flat_all), (bsz * hp1,)) for s, head in ac.heads.items()}
+    values_np = {s: v.data.reshape(bsz, hp1) for s, v in values.items()}
+    returns = {s: lambda_returns(rewards[s], conts, values_np[s], GAMMA, LAM) for s in ac.mix}
+    mixed_return = sum(w * returns[s] for s, w in ac.mix.items())
+    mixed_value = sum(w * values_np[s][:, :horizon] for s, w in ac.mix.items())
+    adv = mixed_return - mixed_value
+
+    feats_t = Tensor(feats[:, :horizon].reshape(bsz * horizon, fdim))
+    lp, ent = ac.log_prob_entropy(feats_t, actions.reshape(bsz * horizon, *actions.shape[2:]))
+    pg = neg(tmean(mul(lp, Tensor(adv.reshape(-1)))))
+    policy_loss = add(pg, neg(mul(tmean(ent), Tensor(ENTROPY_COEF))))
+
+    value_loss = Tensor(0.0)
+    for s in ac.mix:
+        target = np.zeros(bsz * hp1)
+        target.reshape(bsz, hp1)[:, :horizon] = returns[s]
+        mask = np.zeros(bsz * hp1)
+        mask.reshape(bsz, hp1)[:, :horizon] = 1.0
+        err = mul(add(values[s], neg(Tensor(target))), Tensor(mask))
+        value_loss = add(value_loss, mul(tmean(mul(err, err)), Tensor(0.5 * hp1 / horizon)))
+
+    total = add(policy_loss, value_loss)
+    report = {
+        "policy_loss": policy_loss.item(),
+        "value_loss": value_loss.item(),
+        "entropy": ent.data.mean(),
+        "adv_mean": float(adv.mean()),
+        **{f"return_{s}": float(r.mean()) for s, r in returns.items()},
+    }
+    return total, report
+
+
+def actor_critic_rollout(seed, mix, bsz=4, horizon=5, groups=2, classes=3):
+    rng = make_rng(seed)
+    ac = ActorCritic(rng, AcConfig(feat_width=7, action_groups=groups, action_classes=classes, mlp_units=8), mix)
+    feats = rng.normal(size=(bsz, horizon + 1, 7))
+    actions = dists.one_hot(rng.integers(classes, size=(bsz, horizon, groups)), classes)
+    rewards = {s: rng.normal(size=(bsz, horizon + 1)) for s in mix}
+    conts = (rng.random((bsz, horizon + 1)) > 0.2).astype(float)
+    return ac, (feats, actions, rewards, conts)
+
+
+@pytest.mark.parametrize("mix", [MIX, TOP_MIX], ids=["3-stream", "2-stream"])
+def test_reinforce_loss_matches_per_stream_reference(mix):
+    ac, args = actor_critic_rollout(33, mix)
+    params = ac.params()
+
+    def run(loss_fn):
+        total, report = loss_fn(ac, *args)
+        total.backward()
+        grads = {k: p.grad for k, p in params.items()}
+        for p in params.values():
+            p.grad = None
+        return total.item(), report, grads
+
+    total, report, grads = run(reinforce_loss)
+    ref_total, ref_report, ref_grads = run(reference_reinforce_loss)
+    assert total == pytest.approx(ref_total, rel=1e-12)
+    assert report.keys() == ref_report.keys() and {f"return_{s}" for s in mix} <= report.keys()
+    for key, ref in ref_report.items():
+        assert report[key] == pytest.approx(ref, rel=1e-12, abs=1e-15), key
+    for k, ref in ref_grads.items():
+        assert np.abs(grads[k] - ref).max() <= 1e-12 * np.abs(ref).max(), k
+
+
+def test_reinforce_loss_graph_size(monkeypatch):
+    # 3 value heads of 3 nodes, their concat and reshape: 11; the policy loss: 21;
+    # one value-loss chain over every stream (slice, error, square, mean, scale): 5;
+    # the total: 1. The per-stream form built 55.
+    ac, args = actor_critic_rollout(34, MIX)
+    made = []
+    make = tensor._make
+
+    def counting_make(*a):
+        made.append(1)
+        return make(*a)
+
+    monkeypatch.setattr(tensor, "_make", counting_make)
+    reinforce_loss(ac, *args)
+    assert len(made) <= 40

@@ -182,11 +182,13 @@ def test_linear_spectral_radius_below_one():
 # shared contracts
 # ---------------------------------------------------------------------------
 
+SMALL = {"memory_cue": {}, "gridworld": {"size": 5}, "linear": {}}
+
 
 @pytest.mark.parametrize("name", ["memory_cue", "gridworld", "linear"])
 def test_env_deterministic_under_seed(name):
     def trace(seed):
-        env = make_env(name, size=5, seed=seed)
+        env = make_env(name, seed=seed, **SMALL[name])
         rng = make_rng(123)
         out = []
         obs = env.reset()
@@ -205,7 +207,7 @@ def test_env_deterministic_under_seed(name):
 
 @pytest.mark.parametrize("name", ["memory_cue", "gridworld", "linear"])
 def test_reset_after_done_restores_valid_observation(name):
-    env = make_env(name, size=5, seed=3)
+    env = make_env(name, seed=3, **SMALL[name])
     env.reset()
     while True:
         step = env.step(0)
@@ -218,10 +220,22 @@ def test_reset_after_done_restores_valid_observation(name):
 
 @pytest.mark.parametrize("name", ["memory_cue", "gridworld", "linear"])
 def test_step_after_done_raises(name):
-    env = make_env(name, size=5, seed=3)
+    env = make_env(name, seed=3, **SMALL[name])
     env.reset()
     while True:
         if env.step(0).done:
             break
     with pytest.raises(RuntimeError):
         env.step(0)
+
+
+def test_make_env_passes_keywords_to_the_constructor():
+    assert make_env("memory_cue", length=5).length == 5
+    assert make_env("gridworld", size=5, max_steps=3).max_steps == 3
+    assert make_env("linear", horizon=7, seed=2).horizon == 7
+    with pytest.raises(TypeError):
+        make_env("memory_cue", lenght=5)
+    with pytest.raises(TypeError):
+        make_env("gridworld", max_step=3)
+    with pytest.raises(ValueError, match="unknown env"):
+        make_env("maze")

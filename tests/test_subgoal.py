@@ -6,7 +6,7 @@ from scipy import stats
 
 from sswm.envs import TwoLevelGridworld
 from sswm.nn import AdamW
-from sswm.subgoal import SubgoalAutoencoder, SubgoalConfig
+from sswm.subgoal import KL_BETA, SubgoalAutoencoder, SubgoalConfig
 from sswm.tensor import Tensor, grad_check, make_rng
 
 
@@ -100,7 +100,7 @@ def test_perfect_reconstruction_leaves_only_kl():
     target = ae.decode(Tensor(code)).data  # h exactly in the decoder image
     total, parts = ae.loss(Tensor(target), make_rng(14))
     assert parts["recon"] == pytest.approx(0.0, abs=1e-9)
-    assert parts["total"] == pytest.approx(ae.cfg.beta * parts["kl"], rel=1e-9)
+    assert parts["total"] == pytest.approx(KL_BETA * parts["kl"], rel=1e-9)
 
 
 def test_loss_gradients_match_finite_differences():

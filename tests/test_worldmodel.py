@@ -7,7 +7,7 @@ from scipy import stats
 from sswm import dists
 from sswm.s5 import ConfigError
 from sswm.tensor import Tensor, add, backward, grad_check, make_rng, mul, softmax, tsum
-from sswm.worldmodel import LatentState, WmConfig, WorldModel
+from sswm.worldmodel import A_DYN, A_REP, LatentState, WmConfig, WorldModel
 
 
 def tiny_cfg(**kw):
@@ -19,7 +19,6 @@ def tiny_cfg(**kw):
         model_dim=6,
         state_dim=4,
         n_blocks=1,
-        init_blocks=2,
         mlp_units=8,
     )
     base.update(kw)
@@ -179,7 +178,7 @@ def test_wm_step_reset_ignores_history():
     rng = make_rng(8)
     z = dists.sample_one_hot(np.full((3, 2, 4), 0.25), rng)
     a = rng.normal(size=(3, 3))
-    reset, ctx = np.ones(3, dtype=bool), wm.step_context()
+    reset, ctx = np.ones(3, dtype=bool), wm.stack.discretized()
     m1, h1 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
     m2, h2 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
     np.testing.assert_array_equal(m1.data, m2.data)
@@ -196,7 +195,7 @@ def test_unrolled_steps_match_sequence_forward():
     m_seq = out["m"].data
     h_seq = out["h"].data
 
-    ctx = wm.step_context()
+    ctx = wm.stack.discretized()
     bsz, t_len = 2, 7
     h = Tensor(np.zeros((bsz, wm.h_width)))
     z_prev = np.zeros((bsz, cfg.n_cats, cfg.n_classes))
@@ -222,7 +221,7 @@ def test_zero_network_gives_zero_output():
     z = np.zeros((2, 2, 4))
     z[:, :, 0] = 1.0
     m, _ = wm.wm_step(
-        Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), np.zeros(2, bool), wm.step_context()
+        Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), np.zeros(2, bool), wm.stack.discretized()
     )
     np.testing.assert_allclose(m.data, 0.0, atol=1e-12)
 
@@ -256,13 +255,12 @@ def test_loss_total_identity():
         batch = random_batch(make_rng(18, stream=stream), wm.cfg)
         total, report, _ = wm.loss(batch, make_rng(19, stream=stream))
         assert report.total == total.item()
-        want = report.l_pred + wm.cfg.a_dyn * report.l_dyn + wm.cfg.a_rep * report.l_rep
+        want = report.l_pred + A_DYN * report.l_dyn + A_REP * report.l_rep
         assert abs(report.total - want) < 1e-12
 
 
 def test_loss_weight_defaults():
-    cfg = WmConfig(obs_dim=3, action_dim=2)
-    assert cfg.a_dyn == 0.5 and cfg.a_rep == 0.1
+    assert A_DYN == 0.5 and A_REP == 0.1
 
 
 def test_loss_rejects_short_windows():
