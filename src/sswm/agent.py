@@ -42,7 +42,7 @@ LAM = 0.95
 ENTROPY_COEF = 3e-3  # 10x DreamerV3's 3e-4, which scales normalized returns (ROADMAP item 1.b)
 
 
-def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
+def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Cosine-max similarity (g . h) / max(|g|, |h|) over the trailing axis.
 
     0 where both are zero. Leading axes broadcast, e.g. one goal (d,) against
@@ -54,8 +54,7 @@ def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray | float:
         raise ValueError(f"subgoal_reward: widths differ, {g_dec.shape} vs {h.shape}")
     num = (g_dec * h).sum(axis=-1)
     den = np.maximum(np.linalg.norm(g_dec, axis=-1), np.linalg.norm(h, axis=-1))
-    out = np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
-    return float(out) if out.ndim == 0 else out
+    return np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
 
 
 def uplink_observation(states: list[np.ndarray], k: int) -> np.ndarray:
@@ -239,12 +238,10 @@ class Subactor:
                 self.a_prev = np.zeros_like(self.a_prev)
             if self._ctx is None:
                 self._ctx = self.wm.stack.discretized()
-            post_logits = self.wm.encode(Tensor(obs[None, :]))
-            z_t = dists.sample_one_hot(self.wm.probs(post_logits).data, rng)
-            m, h_t = self.wm.wm_step(
+            z_t = dists.sample_one_hot(self.wm.encode(Tensor(obs[None, :])).data, rng)
+            h_t, prior_probs = self.wm.wm_step(
                 Tensor(self.h), Tensor(self.z), Tensor(self.a_prev), np.array([reset]), self._ctx
             )
-            prior_probs = self.wm.probs(self.wm.dynamics_logits(m))
             entropy = dists.entropy_categorical_np(prior_probs.data).sum(axis=-1)
         self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
         self.h = h_t.data
@@ -322,7 +319,7 @@ class Subactor:
         rewards = {"extr": traj["reward"], "nov": nov}
         if "g" in self.ac.mix:
             with no_grad():
-                goal = self.ae.decode(Tensor(self.goal_codes.reshape(1, -1))).data[0]
+                goal = self.ae.decode(Tensor(self.goal_codes[None])).data[0]
             rewards["g"] = subgoal_reward(goal, traj["h"])
         actions = traj["action"].reshape(n, horizon, self.cfg.ac.action_groups, self.cfg.ac.action_classes)
         total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"])
@@ -367,7 +364,7 @@ class HierarchicalAgent:
         if result.done: agent.record_terminal(result.observation, result.reward)
     """
 
-    def __init__(self, levels: list[Subactor], k: int, rng_seed: int = 0):
+    def __init__(self, levels: list[Subactor], k: int, rng_seed: int):
         if not levels:
             raise ValueError("need at least one level")
         self.levels = levels

@@ -65,7 +65,7 @@ class LayerNorm:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and global gradient-norm clipping.
+    """Adam with global gradient-norm clipping; no weight decay, despite the name.
 
     Betas, eps and the clip bound are the fixed constants BETA1, BETA2,
     ADAM_EPS and CLIP_NORM; lr defaults to DreamerV3's world-model rate.
@@ -74,10 +74,9 @@ class AdamW:
     and the skip is counted in `skipped`.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.skipped = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -110,8 +109,6 @@ class AdamW:
             v *= BETA2
             v += (1.0 - BETA2) * (g * g)
             update = (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * update
             p.grad = None
         return norm

@@ -94,16 +94,12 @@ def etbs_indices(n: int, tau: float, rng: np.random.Generator, size: int | None 
 class UniformSampler:
     """Plain uniform index sampler."""
 
-    name = "uniform"
-
     def sample(self, n: int, rng: np.random.Generator) -> int:
         return int(rng.integers(1, n + 1))
 
 
 class EtbsSampler:
     """O(1) time-balanced sampler with mixing temperature tau in [0, 1]."""
-
-    name = "etbs"
 
     def __init__(self, tau: float = 0.3):
         if not 0.0 <= tau <= 1.0:
@@ -121,8 +117,6 @@ class TimeBalancedBaseline:
     uniform target count. Linear cost per draw; used in tests and benchmarks
     as the behavior/latency reference the O(1) sampler approximates.
     """
-
-    name = "tb_baseline"
 
     def __init__(self):
         self.counts = np.zeros(0, dtype=np.int64)

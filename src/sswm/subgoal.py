@@ -48,30 +48,23 @@ class SubgoalAutoencoder:
         return out
 
     def encode(self, h: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-        """(logits, straight-through one-hot sample), shapes (N, n_codes, code_size).
+        """(probabilities, straight-through one-hot sample), shapes (N, n_codes, code_size).
 
         Plain softmax codes, no uniform mixing: the KL term of the loss keeps
         the code distribution from collapsing instead.
         """
         n = h.shape[0]
-        logits = reshape(self.encoder(h), (n, self.cfg.n_codes, self.cfg.code_size))
-        sample = dists.sample_straight_through(softmax(logits, axis=-1), rng)
-        return logits, sample
+        probs = softmax(reshape(self.encoder(h), (n, self.cfg.n_codes, self.cfg.code_size)), axis=-1)
+        return probs, dists.sample_straight_through(probs, rng)
 
     def decode(self, codes: Tensor) -> Tensor:
-        """Codes (N, n_codes, code_size) or flat (N, n_codes*code_size) -> (N, h_width)."""
-        if len(codes.shape) == 3:
-            codes = reshape(codes, (codes.shape[0], self.cfg.flat))
-        return self.decoder(codes)
+        """Codes (N, n_codes, code_size) -> (N, h_width)."""
+        return self.decoder(reshape(codes, (codes.shape[0], self.cfg.flat)))
 
-    def loss(self, h: Tensor, rng: np.random.Generator, sample_mode: str = "sample") -> tuple[Tensor, dict]:
+    def loss(self, h: Tensor, rng: np.random.Generator) -> tuple[Tensor, dict]:
         """L2 reconstruction of h from one sampled code + KL_BETA * KL(codes || uniform)."""
-        n = h.shape[0]
-        logits = reshape(self.encoder(h), (n, self.cfg.n_codes, self.cfg.code_size))
-        probs = softmax(logits, axis=-1)
-        code = dists.sample_straight_through(probs, rng) if sample_mode == "sample" else probs
-        recon = self.decode(code)
-        resid = add(recon, neg(h.detach() if h.requires_grad else h))
+        probs, code = self.encode(h, rng)
+        resid = add(self.decode(code), neg(h.detach() if h.requires_grad else h))
         recon_term = tmean(l2_norm(resid))
         uniform = Tensor(np.full(self.cfg.code_size, 1.0 / self.cfg.code_size))
         kl_term = tmean(tsum(dists.kl_categorical(probs, uniform), axis=-1))

@@ -70,11 +70,6 @@ class LatentState:
     h: np.ndarray  # (B, h_width)
     z: np.ndarray  # (B, n_cats, n_classes), one-hot rows
 
-    def validate(self) -> None:
-        rows = self.z.sum(axis=-1)
-        if not np.allclose(rows, 1.0) or not np.isin(self.z, (0.0, 1.0)).all():
-            raise ValueError("z rows must be one-hot")
-
 
 @dataclass
 class WmLossReport:
@@ -114,7 +109,7 @@ class WorldModel:
     # -- encoder / dynamics categoricals ------------------------------------
 
     def encode(self, obs: Tensor) -> Tensor:
-        """Posterior logits q(z|o): (N, obs_dim) -> (N, n_cats, n_classes).
+        """Unimixed posterior probabilities q(z|o): (N, obs_dim) -> (N, n_cats, n_classes).
 
         The posterior is independent of h, which is what allows all window
         positions to encode in parallel before the single scan.
@@ -122,19 +117,12 @@ class WorldModel:
         if obs.shape[-1] != self.cfg.obs_dim:
             raise ConfigError(f"observation width {obs.shape[-1]} != configured {self.cfg.obs_dim}")
         n = obs.shape[0]
-        return reshape(self.encoder(obs), (n, self.cfg.n_cats, self.cfg.n_classes))
+        return dists.unimix_probs(reshape(self.encoder(obs), (n, self.cfg.n_cats, self.cfg.n_classes)), UNIMIX)
 
-    def dynamics_logits(self, m: Tensor) -> Tensor:
-        """Prior logits p(z|m): (N, model_dim) -> (N, n_cats, n_classes)."""
+    def _prior(self, m: Tensor) -> Tensor:
+        """Unimixed prior probabilities p(z|m): (N, model_dim) -> (N, n_cats, n_classes)."""
         n = m.shape[0]
-        return reshape(self.dyn(m), (n, self.cfg.n_cats, self.cfg.n_classes))
-
-    def probs(self, logits: Tensor) -> Tensor:
-        return dists.unimix_probs(logits, UNIMIX)
-
-    def sample(self, logits: Tensor, rng: np.random.Generator) -> Tensor:
-        """Unimixed straight-through one-hot sample of shape (N, n_cats, n_classes)."""
-        return dists.sample_straight_through(self.probs(logits), rng)
+        return dists.unimix_probs(reshape(self.dyn(m), (n, self.cfg.n_cats, self.cfg.n_classes)), UNIMIX)
 
     # -- heads ---------------------------------------------------------------
 
@@ -157,51 +145,35 @@ class WorldModel:
         flat = reshape(u, (bsz * t_len, self.cfg.z_flat + self.cfg.action_dim))
         return reshape(self.in_proj(flat), (bsz, t_len, self.cfg.model_dim))
 
-    def forward_sequence(
-        self, obs: np.ndarray, action: np.ndarray, resets: np.ndarray, rng, sample_mode: str = "sample"
-    ) -> dict:
+    def forward_sequence(self, obs: np.ndarray, action: np.ndarray, resets: np.ndarray, rng) -> dict:
         """Full training pass over (B, T) windows; returns graph tensors.
 
         Records in a window follow the convention that `action[t]` led into
         `obs[t]` (zeros at episode starts), so the scan at position t consumes
-        (z_{t-1}, a_{t-1}) and yields (m_t, h_t) aligned with obs[t].
-
-        sample_mode "sample" draws straight-through one-hots (training);
-        "mean" feeds the class probabilities themselves, a fully smooth path
-        used to verify gradients against finite differences (the discrete
-        sample is a step function, so FD cannot probe the estimator).
+        (z_{t-1}, a_{t-1}) and yields (m_t, h_t) aligned with obs[t]. z is a
+        straight-through sample of the posterior probabilities, so the KL
+        terms and the sample send their gradients into one posterior node.
         """
         bsz, t_len, _ = obs.shape
         if t_len < 2:
             raise ConfigError("training windows must have length >= 2")
-        flat_obs = Tensor(obs.reshape(bsz * t_len, self.cfg.obs_dim))
-        post_logits = self.encode(flat_obs)
-        post_probs = self.probs(post_logits)
-        if sample_mode == "sample":
-            z_flat_t = self.sample(post_logits, rng)
-        elif sample_mode == "mean":
-            z_flat_t = post_probs
-        else:
-            raise ConfigError(f"unknown sample_mode {sample_mode!r}")
-        z = reshape(z_flat_t, (bsz, t_len, self.cfg.n_cats, self.cfg.n_classes))
+        post_probs = self.encode(Tensor(obs.reshape(bsz * t_len, self.cfg.obs_dim)))
+        z = reshape(dists.sample_straight_through(post_probs, rng), (bsz, t_len, self.cfg.n_cats, self.cfg.n_classes))
         u = self._seq_inputs(z, action, resets)
         m, h = self.stack.forward(u, resets)
-        prior_logits = self.dynamics_logits(reshape(m, (bsz * t_len, self.cfg.model_dim)))
         feats = concat([reshape(h, (bsz * t_len, self.h_width)), reshape(z, (bsz * t_len, self.cfg.z_flat))], axis=1)
         reward_sym, cont_logit = self.predict_heads(feats)
-        obs_pred = self.decoder(feats)
         return {
             "post_probs": post_probs,
-            "prior_probs": self.probs(prior_logits),
+            "prior_probs": self._prior(reshape(m, (bsz * t_len, self.cfg.model_dim))),
             "z": z,
-            "m": m,
             "h": h,
             "reward_sym": reward_sym,
             "cont_logit": cont_logit,
-            "obs_pred": obs_pred,
+            "obs_pred": self.decoder(feats),
         }
 
-    def loss(self, batch: dict, rng, sample_mode: str = "sample") -> tuple[Tensor, WmLossReport, dict]:
+    def loss(self, batch: dict, rng) -> tuple[Tensor, WmLossReport, dict]:
         """Joint loss: prediction NLLs plus free-bits KL terms.
 
         l_dyn trains the prior toward the (stopped) posterior; l_rep trains
@@ -211,7 +183,7 @@ class WorldModel:
         obs, action = batch["obs"], batch["action"]
         resets = batch["reset"]
         bsz, t_len, _ = obs.shape
-        out = self.forward_sequence(obs, action, resets, rng, sample_mode=sample_mode)
+        out = self.forward_sequence(obs, action, resets, rng)
 
         reward_target = Tensor(dists.symlog_np(batch["reward"].reshape(-1)))
         r_err = add(out["reward_sym"], neg(reward_target))
@@ -249,7 +221,7 @@ class WorldModel:
         reset: np.ndarray,
         ctx: list[tuple[Tensor, Tensor]],
     ) -> tuple[Tensor, Tensor]:
-        """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (m_t, h_t).
+        """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (h_t, prior probabilities p(z_t|m_t)).
 
         z_prev: (B, n_cats, n_classes) one-hots (flattened internally);
         reset True drops all dependence on h_prev; ctx is the S5 step context,
@@ -257,8 +229,8 @@ class WorldModel:
         """
         bsz = h_prev.shape[0]
         zf = reshape(z_prev, (bsz, self.cfg.z_flat))
-        u = self.in_proj(concat([zf, a_prev], axis=1))
-        return self.stack.step(h_prev, u, reset, ctx)
+        m, h = self.stack.step(h_prev, self.in_proj(concat([zf, a_prev], axis=1)), reset, ctx)
+        return h, self._prior(m)
 
     def initial_state(self, batch: int) -> LatentState:
         z = np.zeros((batch, self.cfg.n_cats, self.cfg.n_classes))
@@ -308,8 +280,7 @@ class WorldModel:
                 }
                 a = act_fn(i, state)
                 actions[:, i] = a
-                m_t, h_t = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), no_reset, ctx)
-                prior_probs = self.probs(self.dynamics_logits(m_t))
+                h_t, prior_probs = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), no_reset, ctx)
                 h[:, i + 1] = h_t.data
                 z[:, i + 1] = dists.sample_one_hot(prior_probs.data, rng)
                 entropies[:, i + 1] = dists.entropy_categorical_np(prior_probs.data).sum(axis=-1)

@@ -103,12 +103,12 @@ def test_perfect_reconstruction_leaves_only_kl():
     assert parts["total"] == pytest.approx(KL_BETA * parts["kl"], rel=1e-9)
 
 
-def test_loss_gradients_match_finite_differences():
+def test_loss_gradients_match_finite_differences(smooth_latents):
     ae = make_ae(seed=15, h_width=4, n_codes=2, code_size=3, units=6)
     h = make_rng(16).normal(size=(3, 4))
 
     def fn():
-        total, _ = ae.loss(Tensor(h), make_rng(17), sample_mode="mean")
+        total, _ = ae.loss(Tensor(h), make_rng(17))
         return total
 
     report = grad_check(fn, ae.params(), epsilon=1e-5)

@@ -7,7 +7,7 @@ from scipy import stats
 from sswm import dists
 from sswm.s5 import ConfigError
 from sswm.tensor import Tensor, add, backward, grad_check, make_rng, mul, softmax, tsum
-from sswm.worldmodel import A_DYN, A_REP, LatentState, WmConfig, WorldModel
+from sswm.worldmodel import A_DYN, A_REP, UNIMIX, WmConfig, WorldModel
 
 
 def tiny_cfg(**kw):
@@ -29,6 +29,11 @@ def make_wm(seed=0, **kw):
     return WorldModel(make_rng(seed), tiny_cfg(**kw))
 
 
+def sample(logits, rng):
+    """The world model's latent draw: a straight-through sample of the unimixed probabilities."""
+    return dists.sample_straight_through(dists.unimix_probs(logits, UNIMIX), rng)
+
+
 def random_batch(rng, cfg, bsz=2, t_len=6, reset_p=0.15):
     resets = rng.random((bsz, t_len)) < reset_p
     resets[:, 0] = rng.random(bsz) < 0.5
@@ -47,21 +52,19 @@ def random_batch(rng, cfg, bsz=2, t_len=6, reset_p=0.15):
 
 
 def test_equal_logits_sample_uniform():
-    wm = make_wm()
     rng = make_rng(1)
     logits = Tensor(np.zeros((10_000, 1, 4)))
-    z = wm.sample(logits, rng)
+    z = sample(logits, rng)
     counts = z.data.sum(axis=0).ravel()
     _, p = stats.chisquare(counts)
     assert p > 0.01
 
 
 def test_dominant_logit_includes_unimix_leakage():
-    wm = make_wm(n_classes=8, n_cats=1)
     rng = make_rng(2)
     logits = np.zeros((20_000, 1, 8))
     logits[:, :, 3] = 20.0
-    z = wm.sample(Tensor(logits), rng)
+    z = sample(Tensor(logits), rng)
     frac = z.data[:, 0, 3].mean()
     # exact mixture probability: 0.99*softmax + 0.01/K
     e = np.exp(logits[0, 0] - 20.0)
@@ -120,11 +123,9 @@ def test_one_hot_matches_put_along_axis():
 
 
 def test_sample_rows_exactly_one_hot():
-    wm = make_wm()
-    z = wm.sample(Tensor(make_rng(5).normal(size=(64, 2, 4))), make_rng(6))
+    z = sample(Tensor(make_rng(5).normal(size=(64, 2, 4))), make_rng(6))
     assert np.isin(z.data, (0.0, 1.0)).all()
     np.testing.assert_array_equal(z.data.sum(axis=-1), 1.0)
-    LatentState(h=np.zeros((64, 1)), z=z.data).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +180,10 @@ def test_wm_step_reset_ignores_history():
     z = dists.sample_one_hot(np.full((3, 2, 4), 0.25), rng)
     a = rng.normal(size=(3, 3))
     reset, ctx = np.ones(3, dtype=bool), wm.stack.discretized()
-    m1, h1 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
-    m2, h2 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
-    np.testing.assert_array_equal(m1.data, m2.data)
+    h1, prior1 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
+    h2, prior2 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
     np.testing.assert_array_equal(h1.data, h2.data)
+    np.testing.assert_array_equal(prior1.data, prior2.data)
 
 
 def test_unrolled_steps_match_sequence_forward():
@@ -192,8 +193,8 @@ def test_unrolled_steps_match_sequence_forward():
     batch = random_batch(rng, cfg, bsz=2, t_len=7)
     out = wm.forward_sequence(batch["obs"], batch["action"], batch["reset"], make_rng(11))
     z = out["z"].data
-    m_seq = out["m"].data
     h_seq = out["h"].data
+    prior_seq = out["prior_probs"].data.reshape(2, 7, cfg.n_cats, cfg.n_classes)
 
     ctx = wm.stack.discretized()
     bsz, t_len = 2, 7
@@ -202,9 +203,9 @@ def test_unrolled_steps_match_sequence_forward():
     for t in range(t_len):
         keep = 1.0 - batch["reset"][:, t].astype(float)
         zp = z_prev * keep[:, None, None]
-        m, h = wm.wm_step(h, Tensor(zp), Tensor(batch["action"][:, t]), batch["reset"][:, t], ctx)
-        np.testing.assert_allclose(m.data, m_seq[:, t], atol=1e-10)
+        h, prior = wm.wm_step(h, Tensor(zp), Tensor(batch["action"][:, t]), batch["reset"][:, t], ctx)
         np.testing.assert_allclose(h.data, h_seq[:, t], atol=1e-10)
+        np.testing.assert_allclose(prior.data, prior_seq[:, t], atol=1e-10)
         z_prev = z[:, t]
 
 
@@ -220,10 +221,11 @@ def test_zero_network_gives_zero_output():
     rng = make_rng(13)
     z = np.zeros((2, 2, 4))
     z[:, :, 0] = 1.0
-    m, _ = wm.wm_step(
+    _, prior = wm.wm_step(
         Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), np.zeros(2, bool), wm.stack.discretized()
     )
-    np.testing.assert_allclose(m.data, 0.0, atol=1e-12)
+    # the sequence model's output m is zero, so the prior is the one at m = 0
+    np.testing.assert_allclose(prior.data, wm._prior(Tensor(np.zeros((2, wm.cfg.model_dim)))).data, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,17 @@ def test_free_bits_floor_exact_when_prior_equals_posterior():
     _, report, _ = wm.loss(batch, make_rng(16))
     assert report.l_dyn == 1.0
     assert report.l_rep == 1.0
+
+
+def test_loss_builds_each_categorical_once(monkeypatch):
+    # one unimix node for the posterior (the KL terms and the sample share
+    # it) and one for the prior
+    calls = []
+    unimix = dists.unimix_probs
+    monkeypatch.setattr(dists, "unimix_probs", lambda logits, mix: calls.append(logits.shape) or unimix(logits, mix))
+    wm = make_wm(seed=44)
+    wm.loss(random_batch(make_rng(45), wm.cfg), make_rng(46))
+    assert calls == [(12, 2, 4), (12, 2, 4)]
 
 
 def test_free_bits_passthrough_above_floor():
@@ -306,14 +319,14 @@ def test_stop_gradient_sidedness():
     assert np.abs(post_logits2.grad).max() > 0
 
 
-def test_wm_loss_gradients_match_finite_differences():
-    # "mean" latent mode: the smooth surrogate path FD can actually probe;
-    # the straight-through identity is covered separately above.
+def test_wm_loss_gradients_match_finite_differences(smooth_latents):
+    # z is the posterior probabilities themselves, a smooth path FD can
+    # actually probe; the straight-through identity is covered separately above.
     wm = make_wm(seed=24)
     batch = random_batch(make_rng(25), wm.cfg, bsz=1, t_len=4)
 
     def fn():
-        total, _, _ = wm.loss(batch, make_rng(26), sample_mode="mean")
+        total, _, _ = wm.loss(batch, make_rng(26))
         return total
 
     report = grad_check(fn, wm.params(), epsilon=1e-5, max_coords=6, rng=make_rng(27))
