@@ -57,13 +57,6 @@ def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
 
 
-def uplink_observation(states: list[np.ndarray], k: int) -> np.ndarray:
-    """Concatenate k consecutive flattened lower-level states into one vector (width k*d)."""
-    if len(states) != k:
-        raise ValueError(f"uplink needs exactly {k} buffered states, got {len(states)}")
-    return np.concatenate(states)
-
-
 def lambda_returns(rewards, conts, values, gamma: float, lam: float) -> np.ndarray:
     """Bootstrapped lambda-returns over an imagined rollout.
 
@@ -110,7 +103,7 @@ class ActorCritic:
     def policy_probs(self, feats: Tensor) -> Tensor:
         n = feats.shape[0]
         logits = reshape(self.policy(feats), (n, self.cfg.action_groups, self.cfg.action_classes))
-        return softmax(logits, axis=-1)
+        return softmax(logits)
 
     def act(self, feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample a one-hot action matrix (N, groups, classes)."""
@@ -195,7 +188,7 @@ class Subactor:
         self.wm_opt = AdamW(self.wm.params())
         self.ae_opt = AdamW(self.ae.params())
         self.ac_opt = AdamW(self.ac.params())
-        # online state
+        # online state, from the all-zero start state
         self.h = np.zeros((1, self.wm.h_width))
         self.z = np.zeros((1, cfg.wm.n_cats, cfg.wm.n_classes))
         self.a_prev = np.zeros((1, cfg.wm.action_dim))
@@ -211,25 +204,24 @@ class Subactor:
 
     # -- interaction ----------------------------------------------------------
 
-    def refresh_ctx(self) -> None:
-        """Drop the cached step context; the next advance rebuilds it from the updated parameters."""
-        self._ctx = None
-
     def _features(self, h, z, goal_vec, reward, cont, entropy):
+        """Actor features [h, z, goal, symlog reward, cont, entropy] per row.
+
+        goal_vec is the one held goal (d,), repeated on every row.
+        """
         zf = z.reshape(z.shape[0], -1)
         scalars = np.stack(
             [dists.symlog_np(np.asarray(reward, dtype=np.float64)), np.asarray(cont, dtype=np.float64), np.asarray(entropy, dtype=np.float64)],
             axis=1,
         )
-        if goal_vec.ndim == 1:
-            goal_vec = np.broadcast_to(goal_vec, (z.shape[0], goal_vec.size))
-        return np.concatenate([h, zf, goal_vec, scalars], axis=1)
+        return np.concatenate([h, zf, np.broadcast_to(goal_vec, (z.shape[0], goal_vec.size)), scalars], axis=1)
 
     def advance(self, obs: np.ndarray, reward: float, cont: float, reset: bool, episode_id: int, rng) -> np.ndarray:
         """Encode one observation, advance the latent state, record the step.
 
         Returns the features for action selection at the new state. On reset
-        the previous latent and action are dropped before stepping.
+        h, z and the previous action return to the all-zero start state
+        before stepping.
         """
         with no_grad():
             if reset:
@@ -274,8 +266,7 @@ class Subactor:
         total, wm_report, out = self.wm.loss(batch, rng)
         total.backward()
         report["wm_grad_norm"] = self.wm_opt.step()
-        self._project_timescales()
-        self.refresh_ctx()
+        self._ctx = None  # the next advance rebuilds the step context from the updated parameters
         report["wm"] = wm_report
 
         h_states = out["h"].data.reshape(-1, self.wm.h_width)
@@ -286,11 +277,6 @@ class Subactor:
 
         report["ac"] = self._train_actor(out, batch, horizon, rng)
         return report
-
-    def _project_timescales(self) -> None:
-        # keep exp(log_delta) <= 1 (type invariant) under gradient updates
-        for blk in self.wm.stack.blocks:
-            np.minimum(blk.s5.log_delta.data, 0.0, out=blk.s5.log_delta.data)
 
     def _train_actor(self, wm_out: dict, batch: dict, horizon: int, rng) -> dict:
         bsz, t_len = batch["reward"].shape
@@ -417,7 +403,8 @@ class HierarchicalAgent:
         """Level i observes the completed window of level i-1 and emits a subgoal."""
         win = self._windows[i - 1]
         self._windows[i - 1] = _Window()
-        goal = self._step_level(i, uplink_observation(win.states, self.k), win.reward, win.cont, win.reset)
+        # k flattened snapshots side by side; encode rejects a window of any other width
+        goal = self._step_level(i, np.concatenate(win.states), win.reward, win.cont, win.reset)
         self.levels[i - 1].goal_codes = goal
         if i < self.depth - 1:
             self._windows[i].add(win.reward, win.cont)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _make, _softmax, _softmax_vjp, add, log, mul, neg, straight_through, tsum
+from .tensor import Tensor, _make, _softmax, _softmax_vjp, add, log, mul, neg, tsum
 
 
 def symlog_np(x: np.ndarray) -> np.ndarray:
@@ -21,10 +21,10 @@ def unimix_probs(logits: Tensor, unimix: float) -> Tensor:
     p * (1 - unimix) + unimix / k; its VJP is the softmax VJP of the output
     gradient scaled by (1 - unimix).
     """
-    p = _softmax(logits.data, -1)
+    p = _softmax(logits.data)
     keep = 1.0 - unimix
     out = p * keep + unimix / logits.shape[-1]
-    return _make(out, (logits,), lambda g: (_softmax_vjp(p, g * keep, -1),))
+    return _make(out, (logits,), lambda g: (_softmax_vjp(p, g * keep),))
 
 
 def one_hot(idx: np.ndarray, k: int) -> np.ndarray:
@@ -41,8 +41,13 @@ def sample_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_straight_through(probs: Tensor, rng: np.random.Generator) -> Tensor:
-    """One-hot sample whose gradient is the identity into the probabilities."""
-    return straight_through(sample_one_hot(probs.data, rng), probs)
+    """Straight-through estimator of a categorical sample, as one node.
+
+    The value is a one-hot sample of the probabilities over the trailing
+    axis, exactly; the VJP passes the output gradient to the probabilities
+    unchanged, as if the node were the identity on them.
+    """
+    return _make(sample_one_hot(probs.data, rng), (probs,), lambda g: (g,))
 
 
 def kl_categorical(p: Tensor, q: Tensor) -> Tensor:

@@ -165,6 +165,12 @@ class ExperienceDataset:
             setattr(self, name, grown)
 
     def append(self, obs, action, reward: float, cont: float, episode_id: int) -> None:
+        """Add one record; obs and action must have exactly the row shapes, not broadcast into them."""
+        if np.shape(obs) != self.obs.shape[1:] or np.shape(action) != self.action.shape[1:]:
+            raise ValueError(
+                f"append: obs {np.shape(obs)} and action {np.shape(action)}, "
+                f"want {self.obs.shape[1:]} and {self.action.shape[1:]}"
+            )
         if self.n == self.obs.shape[0]:
             self._grow()
         i = self.n

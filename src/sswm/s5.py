@@ -2,9 +2,11 @@
 
 A layer is a diagonal complex linear recurrence x_t = lam_bar*x_{t-1} + b_bar*u_t
 with real readout y_t = Re(C x_t) + D u_t, discretized from a continuous system
-by zero-order hold with a learned per-state timescale. Episode boundaries reset
-the state to its initial value (zero) by gating the decay term, so training
-sequences may span episodes without leaking history across them.
+by zero-order hold with a learned per-state timescale. The zero state is the
+one start state: training windows start from it, and episode boundaries reset
+the state to it by gating the decay term, so training sequences may span
+episodes without leaking history across them. Only the optimizer moves the
+timescale, unbounded: the zero-order hold is exact for every delta > 0.
 
 The recurrence has one implementation, a sequential scan with an analytic
 adjoint (tensor.linear_recurrence). Training runs it over whole windows from
@@ -266,10 +268,6 @@ class S5Stack:
         """
         return [discretize(blk.s5) for blk in self.blocks]
 
-    def initial_state(self, batch: int) -> np.ndarray:
-        """Zero packed state (the reset target), in the layout step() expects."""
-        return np.zeros((batch, len(self.blocks) * 2 * self.state_dim))
-
     def step(
         self,
         h_prev: Tensor,
@@ -281,10 +279,10 @@ class S5Stack:
 
         h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
         forward() returns, and each block resumes from its own slice of it;
-        u: (B,H); reset: (B,) bool drops h_prev. The return
-        is (m, h) with h in the same packed layout. discretized is the step
-        context, self.discretized(): per block (lam_bar, b_real), built once
-        and reused over many steps.
+        u: (B,H); reset: (B,) bool drops h_prev, as a zero h_prev, the start
+        state, would. The return is (m, h) with h in the same packed layout.
+        discretized is the step context, self.discretized(): per block
+        (lam_bar, b_real), built once and reused over many steps.
         """
         bsz, w = u.shape[0], 2 * self.state_dim
         x0s = [tslice(h_prev, (slice(None), slice(i * w, (i + 1) * w))) for i in range(len(self.blocks))]

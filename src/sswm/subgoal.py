@@ -54,7 +54,7 @@ class SubgoalAutoencoder:
         the code distribution from collapsing instead.
         """
         n = h.shape[0]
-        probs = softmax(reshape(self.encoder(h), (n, self.cfg.n_codes, self.cfg.code_size)), axis=-1)
+        probs = softmax(reshape(self.encoder(h), (n, self.cfg.n_codes, self.cfg.code_size)))
         return probs, dists.sample_straight_through(probs, rng)
 
     def decode(self, codes: Tensor) -> Tensor:
@@ -62,9 +62,9 @@ class SubgoalAutoencoder:
         return self.decoder(reshape(codes, (codes.shape[0], self.cfg.flat)))
 
     def loss(self, h: Tensor, rng: np.random.Generator) -> tuple[Tensor, dict]:
-        """L2 reconstruction of h from one sampled code + KL_BETA * KL(codes || uniform)."""
+        """L2 reconstruction of h (a constant target) from one sampled code + KL_BETA * KL(codes || uniform)."""
         probs, code = self.encode(h, rng)
-        resid = add(self.decode(code), neg(h.detach() if h.requires_grad else h))
+        resid = add(self.decode(code), neg(h.detach()))
         recon_term = tmean(l2_norm(resid))
         uniform = Tensor(np.full(self.cfg.code_size, 1.0 / self.cfg.code_size))
         kl_term = tmean(tsum(dists.kl_categorical(probs, uniform), axis=-1))

@@ -5,7 +5,7 @@ this fixed op set, each op in one form and called as a function (Tensor has
 no arithmetic operators): add, mul (both broadcasting), neg, log, gelu;
 tsum and tmean over all axes or one; softmax and l2_norm over the trailing
 axis; matmul, (..., k) @ (k, m); affine, layer_norm, linear_recurrence;
-concat, tslice, reshape and straight_through.
+concat, tslice and reshape.
 
 Three layers are single graph nodes with analytic VJPs: affine, layer_norm
 and linear_recurrence. The one activation, gelu, is the tanh form of GELU
@@ -55,7 +55,6 @@ __all__ = [
     "concat",
     "tslice",
     "reshape",
-    "straight_through",
     "l2_norm",
     "linear_recurrence",
     "backward",
@@ -243,19 +242,20 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_vjp(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Input gradient of a softmax with output `out` under output gradient g."""
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Input gradient of a trailing-axis softmax with output `out` under output gradient g."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    out = _softmax(a.data, axis)
-    return _make(out, (a,), lambda g: (_softmax_vjp(out, g, axis),))
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the trailing axis, as one node: (..., k) -> (..., k)."""
+    out = _softmax(a.data)
+    return _make(out, (a,), lambda g: (_softmax_vjp(out, g),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -387,18 +387,6 @@ def tslice(a: Tensor, key) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
     return _make(out, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def straight_through(value: np.ndarray, carrier: Tensor) -> Tensor:
-    """Forward `value` as-is; route gradients to `carrier` with identity Jacobian.
-
-    The straight-through estimator for discrete samples: the returned tensor
-    holds the sampled value exactly, while backward behaves as if the op were
-    the (differentiable) carrier, e.g. class probabilities.
-    """
-    if value.shape != carrier.shape:
-        raise ShapeError(f"straight_through: value {value.shape} vs carrier {carrier.shape}")
-    return _make(np.asarray(value, dtype=np.float64), (carrier,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------

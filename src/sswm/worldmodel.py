@@ -65,7 +65,11 @@ class WmConfig:
 
 @dataclass
 class LatentState:
-    """Composite latent: deterministic h plus categorical one-hot matrix z."""
+    """Composite latent: deterministic h plus categorical one-hot matrix z.
+
+    The start state is all zeros, z included: acting starts and resets there,
+    and the scan over a training window feeds a zero z before its first record.
+    """
 
     h: np.ndarray  # (B, h_width)
     z: np.ndarray  # (B, n_cats, n_classes), one-hot rows
@@ -231,11 +235,6 @@ class WorldModel:
         zf = reshape(z_prev, (bsz, self.cfg.z_flat))
         m, h = self.stack.step(h_prev, self.in_proj(concat([zf, a_prev], axis=1)), reset, ctx)
         return h, self._prior(m)
-
-    def initial_state(self, batch: int) -> LatentState:
-        z = np.zeros((batch, self.cfg.n_cats, self.cfg.n_classes))
-        z[:, :, 0] = 1.0
-        return LatentState(h=np.zeros((batch, self.h_width)), z=z)
 
     # -- imagination -----------------------------------------------------------
 

@@ -132,6 +132,30 @@ def test_window_resets_match_replay(depth, k, steps, seed):
             np.testing.assert_array_equal(resets, lvl.replay.reset_flags(rows, 1)[:, 0])
 
 
+def test_random_phase_acts_without_any_policy(monkeypatch):
+    env, agent = tiny_agent(10, depth=3, k=2)
+    act = ActorCritic.act
+
+    def no_policy(self, feats, rng):
+        raise AssertionError("a level acted from its policy in the random phase")
+
+    monkeypatch.setattr(ActorCritic, "act", no_policy)
+    agent.set_random_phase(True)
+    terminals = drive(agent, env, 16)
+    for i, lvl in enumerate(agent.levels):
+        assert lvl.action_emissions == 16 // 2**i
+        if i > 0:
+            assert len(lvl.replay) == 16 // 2**i
+    assert len(agent.levels[0].replay) == 16 + terminals
+
+    acted = []
+    monkeypatch.setattr(ActorCritic, "act", lambda self, feats, rng: acted.append(self) or act(self, feats, rng))
+    agent.set_random_phase(False)
+    drive(agent, env, 8)
+    assert len(acted) == 8 + 4 + 2  # every level's policy picks every one of its actions
+    assert {id(ac) for ac in acted} == {id(lvl.ac) for lvl in agent.levels}
+
+
 def test_record_terminal_only_appends_the_row():
     env, agent = tiny_agent(8, depth=2, k=2)
     drive(agent, env, 3)

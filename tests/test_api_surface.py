@@ -1,4 +1,4 @@
-"""The package's public surface: every tensor op has a caller, every script resolves."""
+"""The package's public surface: every tensor op and every definition has a caller, every script resolves."""
 
 import ast
 import importlib
@@ -12,6 +12,54 @@ SRC = ROOT / "src" / "sswm"
 
 # The autodiff engine itself, public whether or not a module imports it.
 ENGINE_API = {"Tensor", "ShapeError", "GraphError", "no_grad", "make_rng", "backward", "grad_check", "GradCheckReport"}
+
+
+# Definitions that nothing in src/sswm/ calls, each with the caller outside it.
+OUTSIDE_CALLERS = {
+    "build_agent": "driver protocol: builds the agent",
+    "make_env": "driver protocol: builds the environment",
+    "policy_step": "driver protocol: once per env step",
+    "observe_result": "driver protocol: once per env step",
+    "record_terminal": "driver protocol: on a terminal step",
+    "train_due_levels": "driver protocol: the training loop",
+    "EtbsSampler": "driver protocol: the replay sampler train_due_levels takes",
+    "UniformSampler": "driver protocol: the plain replay sampler",
+    "set_random_phase": "perfbench/workloads.py: the random prefill",
+    "expected_draws": "test oracle: tests/test_replay.py",
+    "skew_pdf": "test oracle: tests/test_replay.py",
+    "simulate_process": "test oracle: tests/test_replay.py",
+    "grad_check": "test oracle: the finite-difference gradient checks",
+    "spectral_radius": "test oracle: tests/test_envs.py",
+    "one_step_noise_floor": "test oracle: tests/test_learning.py",
+}
+
+
+def _definitions_and_references() -> tuple[dict[str, list[str]], set[str]]:
+    """Every function, class and method defined in src/sswm/, and every name or attribute it reads."""
+    defined: dict[str, list[str]] = {}
+    referenced: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return defined, referenced
+
+
+def test_every_definition_has_a_caller():
+    defined, referenced = _definitions_and_references()
+    # Python calls the dunder methods itself
+    uncalled = {
+        name: where
+        for name, where in defined.items()
+        if name not in referenced and name not in OUTSIDE_CALLERS and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert not uncalled, f"defined in src/sswm/ and called nowhere: {uncalled}"
+    stale = {name for name in OUTSIDE_CALLERS if name not in defined or name in referenced}
+    assert not stale, f"allowlisted, but undefined or called in src/sswm/: {sorted(stale)}"
 
 
 def _names_imported_from_tensor(path: Path) -> set[str]:

@@ -211,3 +211,18 @@ def test_dataset_growth_preserves_records():
     assert len(ds) == 80
     np.testing.assert_array_equal(ds.obs[79], np.full(3, 79.0))
     assert ds.episode[79] == 7
+
+
+@pytest.mark.parametrize(
+    "obs, action",
+    [(np.ones(1), np.zeros(4)), (np.ones(()), np.zeros(4)), (np.ones(3), np.zeros(1)), (np.ones(3), 0.0), (np.ones((1, 3)), np.zeros(4))],
+)
+def test_append_rejects_a_row_of_another_shape(obs, action):
+    # numpy would broadcast a width-1 or 0-d row across the whole record
+    ds = ExperienceDataset(3, 4)
+    with pytest.raises(ValueError) as err:
+        ds.append(obs, action, 0.0, 1.0, 0)
+    assert f"obs {np.shape(obs)} and action {np.shape(action)}, want (3,) and (4,)" in str(err.value)
+    assert len(ds) == 0
+    ds.append(np.ones(3), np.zeros(4), 0.0, 1.0, 0)
+    assert len(ds) == 1

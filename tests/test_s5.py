@@ -438,7 +438,7 @@ def test_stack_step_matches_sequence():
     resets[0, 4] = True
     m_seq, h_seq = stack.forward(Tensor(u), resets)
     disc = stack.discretized()
-    h = Tensor(stack.initial_state(2))
+    h = Tensor(np.zeros((2, len(stack.blocks) * 2 * stack.state_dim)))  # the zero start state
     for t in range(t_len):
         m, h = stack.step(h, Tensor(u[:, t]), resets[:, t], disc)
         np.testing.assert_allclose(m.data, m_seq.data[:, t], atol=1e-10)
@@ -451,7 +451,7 @@ def test_stack_step_tensor_count(monkeypatch):
     # the concat of the states and three reshapes: 8 * 2 + 2 + 1 + 3 = 22
     stack = s5.S5Stack(make_rng(0), 32, 16, 2, 2)
     ctx = stack.discretized()
-    h, u = Tensor(stack.initial_state(1)), Tensor(np.ones((1, 32)))
+    h, u = Tensor(np.zeros((1, 2 * 2 * 16))), Tensor(np.ones((1, 32)))
     built = []
     init = Tensor.__init__
 

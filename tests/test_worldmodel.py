@@ -7,7 +7,7 @@ from scipy import stats
 from sswm import dists
 from sswm.s5 import ConfigError
 from sswm.tensor import Tensor, add, backward, grad_check, make_rng, mul, softmax, tsum
-from sswm.worldmodel import A_DYN, A_REP, UNIMIX, WmConfig, WorldModel
+from sswm.worldmodel import A_DYN, A_REP, UNIMIX, LatentState, WmConfig, WorldModel
 
 
 def tiny_cfg(**kw):
@@ -27,6 +27,11 @@ def tiny_cfg(**kw):
 
 def make_wm(seed=0, **kw):
     return WorldModel(make_rng(seed), tiny_cfg(**kw))
+
+
+def zero_state(wm, batch):
+    """The start state acting uses: zero h and an all-zero z."""
+    return LatentState(h=np.zeros((batch, wm.h_width)), z=np.zeros((batch, wm.cfg.n_cats, wm.cfg.n_classes)))
 
 
 def sample(logits, rng):
@@ -80,6 +85,9 @@ def test_straight_through_gradient_equals_probs_path():
     logits_a = Tensor(rng.normal(size=(6, 1, 4)), requires_grad=True)
     probs_a = dists.unimix_probs(logits_a, 0.01)
     sample = dists.sample_straight_through(probs_a, make_rng(4))
+    # one node: the one-hot sample itself, on top of the probabilities
+    assert sample._parents == (probs_a,)
+    np.testing.assert_array_equal(sample.data, dists.sample_one_hot(probs_a.data, make_rng(4)))
     backward(tsum(mul(sample, Tensor(weights))))
 
     logits_b = Tensor(logits_a.data.copy(), requires_grad=True)
@@ -92,7 +100,7 @@ def test_straight_through_gradient_equals_probs_path():
 def _unimix_reference(logits, unimix):
     """The composed graph the fused node replaces: softmax -> mul -> add."""
     k = logits.shape[-1]
-    return add(mul(softmax(logits, axis=-1), Tensor(1.0 - unimix)), Tensor(np.full(k, unimix / k)))
+    return add(mul(softmax(logits), Tensor(1.0 - unimix)), Tensor(np.full(k, unimix / k)))
 
 
 def test_unimix_probs_matches_composed_reference():
@@ -349,7 +357,7 @@ def zero_policy(cfg):
 
 def test_imagine_single_step():
     wm = make_wm(seed=28)
-    start = wm.initial_state(3)
+    start = zero_state(wm, 3)
     traj = wm.imagine(start, zero_policy(wm.cfg), horizon=1, rng=make_rng(29))
     assert traj["action"].shape == (3, 1, 3)
     assert traj["h"].shape[1] == 2
@@ -357,7 +365,7 @@ def test_imagine_single_step():
 
 def test_imagine_deterministic_given_seed():
     wm = make_wm(seed=30)
-    start = wm.initial_state(2)
+    start = zero_state(wm, 2)
     t1 = wm.imagine(start, zero_policy(wm.cfg), horizon=5, rng=make_rng(31))
     t2 = wm.imagine(start, zero_policy(wm.cfg), horizon=5, rng=make_rng(31))
     for key in t1:
@@ -369,7 +377,7 @@ def test_imagine_uniform_prior_entropy():
     for name, p in wm.params().items():
         if name.startswith("wm.dyn"):
             p.data[:] = 0.0
-    start = wm.initial_state(2)
+    start = zero_state(wm, 2)
     traj = wm.imagine(start, zero_policy(wm.cfg), horizon=2, rng=make_rng(33))
     want = wm.cfg.n_cats * np.log(wm.cfg.n_classes)
     np.testing.assert_allclose(traj["entropy"][:, 1:], want, atol=1e-9)
@@ -382,7 +390,7 @@ def test_imagine_runs_no_observation_decoder():
         raise AssertionError("imagine decoded an observation")
 
     wm.decoder = no_decoding
-    traj = wm.imagine(wm.initial_state(3), zero_policy(wm.cfg), horizon=2, rng=make_rng(43))
+    traj = wm.imagine(zero_state(wm, 3), zero_policy(wm.cfg), horizon=2, rng=make_rng(43))
     assert traj["reward"].shape == traj["cont"].shape == (3, 3)
     assert np.isfinite(traj["reward"]).all() and np.isfinite(traj["cont"]).all()
 
@@ -398,4 +406,5 @@ def test_config_h_width_matches_built_model():
     wm = make_wm(seed=39, n_blocks=2)
     out = wm.forward_sequence(*(random_batch(make_rng(40), wm.cfg)[k] for k in ("obs", "action", "reset")), make_rng(41))
     assert out["h"].shape[-1] == wm.cfg.h_width == wm.h_width
-    assert wm.initial_state(3).h.shape == (3, wm.cfg.h_width)
+    traj = wm.imagine(zero_state(wm, 3), zero_policy(wm.cfg), horizon=1, rng=make_rng(42))
+    assert traj["h"].shape == (3, 2, wm.cfg.h_width)
