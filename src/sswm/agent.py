@@ -169,30 +169,22 @@ def reinforce_loss(
     return total, report
 
 
-@dataclass
-class LevelConfig:
-    wm: WmConfig
-    sg: SubgoalConfig
-    ac: AcConfig
-
-
 class Subactor:
-    """One hierarchy level: world model + actor-critic + subgoal autoencoder."""
+    """One hierarchy level: world model + actor-critic + subgoal autoencoder, each holding its config."""
 
-    def __init__(self, rng: np.random.Generator, cfg: LevelConfig, mix: Mapping[str, float]):
-        self.cfg = cfg
-        self.wm = WorldModel(rng, cfg.wm)
-        self.ae = SubgoalAutoencoder(rng, cfg.sg)
-        self.ac = ActorCritic(rng, cfg.ac, mix)
-        self.replay = ExperienceDataset(cfg.wm.obs_dim, cfg.wm.action_dim)
+    def __init__(self, rng: np.random.Generator, wm_cfg: WmConfig, sg_cfg: SubgoalConfig, ac_cfg: AcConfig, mix: Mapping[str, float]):
+        self.wm = WorldModel(rng, wm_cfg)
+        self.ae = SubgoalAutoencoder(rng, sg_cfg)
+        self.ac = ActorCritic(rng, ac_cfg, mix)
+        self.replay = ExperienceDataset(wm_cfg.obs_dim, wm_cfg.action_dim)
         self.wm_opt = AdamW(self.wm.params())
         self.ae_opt = AdamW(self.ae.params())
         self.ac_opt = AdamW(self.ac.params())
         # online state, from the all-zero start state
         self.h = np.zeros((1, self.wm.h_width))
-        self.z = np.zeros((1, cfg.wm.n_cats, cfg.wm.n_classes))
-        self.a_prev = np.zeros((1, cfg.wm.action_dim))
-        self.goal_codes = np.zeros((cfg.sg.n_codes, cfg.sg.code_size))
+        self.z = np.zeros((1, wm_cfg.n_cats, wm_cfg.n_classes))
+        self.a_prev = np.zeros((1, wm_cfg.action_dim))
+        self.goal_codes = np.zeros((sg_cfg.n_codes, sg_cfg.code_size))
         self._ctx = None
         self.action_emissions = 0
 
@@ -242,7 +234,7 @@ class Subactor:
 
     def choose_action(self, feats: np.ndarray, rng, random_action: bool) -> np.ndarray:
         """Pick an action one-hot matrix, uniformly or from the policy, and remember it as a_prev."""
-        g, k = self.cfg.ac.action_groups, self.cfg.ac.action_classes
+        g, k = self.ac.cfg.action_groups, self.ac.cfg.action_classes
         if random_action:
             onehot = dists.one_hot(rng.integers(k, size=(1, g)), k)
         else:
@@ -288,7 +280,7 @@ class Subactor:
         start_entropy = dists.entropy_categorical_np(wm_out["prior_probs"].data).sum(axis=-1)
         goal_vec = self.goal_feature()
         hp1 = horizon + 1
-        feats = np.empty((n, hp1, self.cfg.ac.feat_width))
+        feats = np.empty((n, hp1, self.ac.cfg.feat_width))
 
         def act_fn(i, state):
             f = self._features(state["h"], state["z"], goal_vec, state["reward"], state["cont"], state["entropy"])
@@ -300,14 +292,13 @@ class Subactor:
             traj["h"][:, horizon], traj["z"][:, horizon], goal_vec,
             traj["reward"][:, horizon], traj["cont"][:, horizon], traj["entropy"][:, horizon],
         )
-        # time-major rows draw the sampled codes in the order of a per-step loop
-        nov = self.ae.novelty(traj["h"].transpose(1, 0, 2).reshape(hp1 * n, -1), rng).reshape(hp1, n).T
+        nov = self.ae.novelty(traj["h"].reshape(n * hp1, -1), rng).reshape(n, hp1)
         rewards = {"extr": traj["reward"], "nov": nov}
         if "g" in self.ac.mix:
             with no_grad():
                 goal = self.ae.decode(Tensor(self.goal_codes[None])).data[0]
             rewards["g"] = subgoal_reward(goal, traj["h"])
-        actions = traj["action"].reshape(n, horizon, self.cfg.ac.action_groups, self.cfg.ac.action_classes)
+        actions = traj["action"].reshape(n, horizon, self.ac.cfg.action_groups, self.ac.cfg.action_classes)
         total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"])
         total.backward()
         report["ac_grad_norm"] = self.ac_opt.step()
@@ -460,8 +451,7 @@ def build_agent(
             action_classes=action_classes,
             **ac_kwargs,
         )
-        cfg = LevelConfig(wm=wm_cfg, sg=sg_cfg, ac=ac_cfg)
-        levels.append(Subactor(rng, cfg, MIX if i < depth - 1 else TOP_MIX))
+        levels.append(Subactor(rng, wm_cfg, sg_cfg, ac_cfg, MIX if i < depth - 1 else TOP_MIX))
         # dimensions seen by the next level up
         obs_dim = k * (h_width + wm_cfg.z_flat)
         action_groups, action_classes = sg_cfg.n_codes, sg_cfg.code_size

@@ -2,17 +2,19 @@
 
 Iteratively appending to a dataset and sampling uniformly oversamples old
 entries: an element in place i of a final size-n dataset is drawn
-H_n - H_i times in expectation (harmonic numbers). Three samplers are
-provided:
+H_n - H_i times in expectation (harmonic numbers). Two draws are provided:
 
-* uniform           - the plain baseline (oversamples old entries),
-* time-balanced O(n) - explicit per-index corrective weights, recomputed per
-                      draw (reference/oracle, linear cost),
 * ETBS O(1)         - maps a uniform draw through the closed-form CDF of the
                       normalized skew density p_s(x) = (ln n - ln x)/Z, mixed
-                      with a plain uniform draw at temperature tau. Each draw
-                      is constant-time; over the whole add/sample process the
-                      cumulative per-index counts flatten as tau -> 1.
+                      with a plain uniform draw at temperature tau (tau = 0 is
+                      the plain uniform draw). Each draw is constant-time; over
+                      the whole add/sample process the cumulative per-index
+                      counts flatten as tau -> 1.
+* time-balanced O(n) - explicit per-index corrective weights, recomputed per
+                      draw (the reference that tests hold ETBS to).
+
+A replay sampler is an ETBS temperature: sample_batch draws all of a batch's
+starts in one etbs_indices call at sampler.tau.
 
 Indices are 1-based ages: index 1 is the oldest element.
 """
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import digamma
+
+from .tensor import make_rng
 
 _EULER_GAMMA = 0.5772156649015328606
 # weight floor of the O(n) baseline, so an index at or above its target count stays drawable
@@ -71,51 +75,48 @@ def etbs_cdf(x, n):
     return np.clip(num / den, 0.0, 1.0)
 
 
-def etbs_indices(n: int, tau: float, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw indices in [1, n]: uniform with prob (1-tau), CDF-corrected with prob tau.
+def etbs_indices(n: int, tau: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw `size` indices in [1, n]: uniform with prob (1-tau), CDF-corrected with prob tau.
 
     The corrective branch pushes a Uniform[2, n] draw through the skew CDF and
     rescales to an index, which undersamples old indices each step so that
     cumulative draw counts over the add/sample process flatten. Constant work
     per draw. Falls back to plain uniform for n < 3 (log terms degenerate).
+    At tau = 0 the draw is rng.integers(1, n + 1, size) alone.
     """
-    m = 1 if size is None else size
-    out = rng.integers(1, n + 1, size=m)
+    out = rng.integers(1, n + 1, size=size)
     if n >= 3 and tau > 0.0:
-        corrective = rng.random(m) < tau
+        corrective = rng.random(size) < tau
         k = int(corrective.sum())
         if k:
             u = rng.uniform(2.0, float(n), size=k)
             mapped = np.clip(np.rint(n * etbs_cdf(u, n)).astype(np.int64), 1, n)
             out[corrective] = mapped
-    return int(out[0]) if size is None else out
-
-
-class UniformSampler:
-    """Plain uniform index sampler."""
-
-    def sample(self, n: int, rng: np.random.Generator) -> int:
-        return int(rng.integers(1, n + 1))
+    return out
 
 
 class EtbsSampler:
-    """O(1) time-balanced sampler with mixing temperature tau in [0, 1]."""
+    """The O(1) time-balanced replay sampler: its mixing temperature tau in [0, 1]."""
 
     def __init__(self, tau: float = 0.3):
         if not 0.0 <= tau <= 1.0:
             raise DomainError(f"tau must be in [0, 1], got {tau}")
         self.tau = tau
 
-    def sample(self, n: int, rng: np.random.Generator) -> int:
-        return etbs_indices(n, self.tau, rng)
+
+class UniformSampler(EtbsSampler):
+    """The plain uniform replay sampler: ETBS at tau = 0."""
+
+    def __init__(self):
+        super().__init__(0.0)
 
 
 class TimeBalancedBaseline:
     """O(n) corrective sampler: explicit per-index weights, recomputed per draw.
 
     Keeps cumulative draw counts and weights each index by how far it lags the
-    uniform target count. Linear cost per draw; used in tests and benchmarks
-    as the behavior/latency reference the O(1) sampler approximates.
+    uniform target count. Linear cost, one index per call; simulate_process
+    and the tests use it as the reference the O(1) sampler approximates.
     """
 
     def __init__(self):
@@ -196,15 +197,16 @@ class ExperienceDataset:
     def sample_batch(self, rng: np.random.Generator, batch: int, length: int, sampler):
         """Sample `batch` length-`length` windows; None until enough data.
 
-        Start offsets come from `sampler` over the valid range (1 = oldest).
-        Windows may span episode boundaries; reset flags mark the boundary
-        rows so downstream scans cannot leak state across episodes.
+        All `batch` start offsets come from one etbs_indices draw at
+        sampler.tau over the valid range (1 = oldest). Windows may span
+        episode boundaries; reset flags mark the boundary rows so downstream
+        scans cannot leak state across episodes.
         """
         n = self.n
         if n < length:
             return None
         n_valid = n - length + 1
-        starts = np.array([sampler.sample(n_valid, rng) - 1 for _ in range(batch)])
+        starts = etbs_indices(n_valid, sampler.tau, rng, batch) - 1
         gather = starts[:, None] + np.arange(length)[None, :]
         return {
             "obs": self.obs[gather],
@@ -222,13 +224,13 @@ def simulate_process(n: int, sampler_name: str, tau: float, reps: int, seed: int
     Vectorized across replications for uniform/etbs; the O(n) baseline keeps
     per-replication count state, so it runs rep-by-rep (use modest n).
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 77], dtype=np.uint64)))
+    rng = make_rng(seed, stream=77)
     counts = np.zeros((reps, n), dtype=np.int64)
     rows = np.arange(reps)
     if sampler_name in ("uniform", "etbs"):
         t_eff = 0.0 if sampler_name == "uniform" else tau
         for t in range(1, n + 1):
-            idx = etbs_indices(t, t_eff, rng, size=reps)
+            idx = etbs_indices(t, t_eff, rng, reps)
             counts[rows, idx - 1] += 1
         return counts
     if sampler_name == "tb_baseline":

@@ -84,14 +84,6 @@ class S5Params:
     d_vec: Tensor
     log_delta: Tensor
 
-    @property
-    def state_dim(self) -> int:
-        return self.log_neg_re.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.d_vec.shape[0]
-
     def lam_value(self) -> np.ndarray:
         return -np.exp(self.log_neg_re.data) + 1j * self.im.data
 
@@ -187,19 +179,18 @@ def scan_sequential(
     params: S5Params,
     u: Tensor,
     resets,
-    disc: tuple[Tensor, Tensor] | None = None,
-    x0: Tensor | None = None,
+    disc: tuple[Tensor, Tensor],
+    x0: Tensor,
 ) -> tuple[Tensor, Tensor]:
     """Recurrent scan. u: (B,T,H); resets: (B,T) bool.
 
     Returns packed internal states x (B,T,2P), each row [Re x_t | Im x_t],
     and outputs y_t = Re(C x_t) + D u_t (B,T,H), read out through c_mat. A
     reset at step t zeroes the carried state before that step's update. The
-    scan starts from x0 (B,2P), packed alike, when given, else from zero;
-    disc is a precomputed (lam_bar, b_real) = discretize(params), built
-    here when None.
+    scan starts from x0 (B,2P), packed alike: zeros for the start state.
+    disc is (lam_bar, b_real) = discretize(params), which the caller builds.
     """
-    lam_bar, b_real = discretize(params) if disc is None else disc
+    lam_bar, b_real = disc
     gates = 1.0 - np.asarray(resets, dtype=np.float64)
     x = linear_recurrence(lam_bar, matmul(u, b_real), gates, x0)
     y = add(matmul(x, params.c_mat), mul(u, params.d_vec))
@@ -253,11 +244,13 @@ class S5Stack:
         return u, concat(h_parts, axis=2)
 
     def forward(self, u: Tensor, resets) -> tuple[Tensor, Tensor]:
-        """Full-sequence pass from the zero state over u (B,T,H) and resets (B,T).
+        """Full-sequence pass over u (B,T,H) and resets (B,T).
 
+        Every block starts from the zero start state, a (B, 2P) constant.
         Returns (m, h): outputs and deterministic states.
         """
-        return self._run(u, resets, self.discretized(), [None] * len(self.blocks))
+        zero = Tensor(np.zeros((u.shape[0], 2 * self.state_dim)))
+        return self._run(u, resets, self.discretized(), [zero] * len(self.blocks))
 
     def discretized(self) -> list[tuple[Tensor, Tensor]]:
         """The step context: per block (lam_bar, b_real) from discretize.

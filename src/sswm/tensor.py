@@ -16,15 +16,17 @@ elementwise error function; at batch 1 it costs more, because it makes
 twice the ufunc calls. Tensors hold real float64 arrays, so the whole engine
 is real-valued. Complex values have one layout: a trailing axis of width 2P
 packing [Re x | Im x] (P complex values per row), the layout of
-linear_recurrence's diagonal, drive and states.
+linear_recurrence's diagonal, drive, start state and states. The start state
+is always passed, as a value: zeros start a scan from rest.
 
 `_make(data, parents, vjp)` is the one way to add a fused node, here or in
 another module: the node's value is computed in numpy, and the VJP maps the
 output gradient to one gradient per parent (None where none is needed).
 
-Graphs are write-once: a backward pass consumes the graph and a second call on
-the same loss raises. Forward passes are pure, so tensors may be shared
-read-only across threads; concurrent backward on one graph is not supported.
+`loss.backward()` is the one backward pass. Graphs are write-once: it
+consumes the graph, and a second call on the same loss raises. Forward passes
+are pure, so tensors may be shared read-only across threads; concurrent
+backward on one graph is not supported.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "reshape",
     "l2_norm",
     "linear_recurrence",
-    "backward",
     "grad_check",
     "GradCheckReport",
 ]
@@ -128,11 +129,50 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
-        backward(self)
+        """Reverse-mode sweep from this scalar loss; grads accumulate into leaves.
+
+        Each node sums the gradients it receives in its own .grad; in reverse
+        topological order, an inner node's VJP runs on that sum and its .grad is
+        cleared. The graph is consumed: calling backward twice on the same loss
+        raises.
+        """
+        if self.data.size != 1:
+            raise GraphError(f"backward: loss must be scalar, got shape {self.shape}")
+        if self._consumed:
+            raise GraphError("backward: graph already consumed; rerun the forward pass")
+        if not self.requires_grad:
+            raise GraphError("backward: loss does not require grad")
+
+        # Iterative topological sort (graphs can be deeper than the recursion limit).
+        topo: list[Tensor] = []
+        visited: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and id(p) not in visited:
+                    stack.append((p, False))
+
+        seed = np.ones_like(self.data)
+        self.grad = seed if self.grad is None else self.grad + seed
+        for node in reversed(topo):
+            if node._vjp is None or node.grad is None:
+                continue  # a leaf keeps its .grad
+            for p, pg in zip(node._parents, node._vjp(node.grad)):
+                if p.requires_grad and pg is not None:
+                    p.grad = pg if p.grad is None else p.grad + pg
+            node.grad = None
+            node._vjp = None
+            node._consumed = True
+        self._consumed = True
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -408,14 +448,14 @@ def _pack(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor | None = None) -> Tensor:
+def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor) -> Tensor:
     """Gated diagonal complex recurrence x_t = gate_t * lam * x_{t-1} + drive_t.
 
     lam: (2P,) packed [Re lam | Im lam]; drive: (B, T, 2P), each row packing
     [Re drive_t | Im drive_t]; gates: (B, T) float 0/1 array (constant, 0
     resets the state). Returns x: (B, T, 2P) in the same packed layout,
-    starting from the carried state x0: (B, 2P), packed alike, or from zero
-    when x0 is None; a gate of 0 at t=0 drops x0. The whole scan is one graph
+    starting from the state x0: (B, 2P), packed alike (zeros for the start
+    state); a gate of 0 at t=0 drops x0. The whole scan is one graph
     node with an analytically derived adjoint, which is exactly
     backpropagation through time over the unrolled recurrence; x0's adjoint is
     the accumulator carried past t=0, gate_0 * conj(lam) * acc_0. The loop
@@ -430,13 +470,13 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor 
     B, T, _ = drive.shape
     if gates.shape != (B, T):
         raise ShapeError(f"linear_recurrence: gates must be {(B, T)}, got {gates.shape}")
-    if x0 is not None and x0.shape != (B, 2 * P):
+    if x0.shape != (B, 2 * P):
         raise ShapeError(f"linear_recurrence: x0 must be {(B, 2 * P)}, got {x0.shape}")
     lamc = _unpack(lam.data)  # (P,)
     dc = _unpack(drive.data)  # (B, T, P)
     gt = gates[..., None]  # (B, T, 1)
     xs = np.empty((B, T, P), dtype=np.complex128)
-    x = x_init = 0.0 if x0 is None else _unpack(x0.data)
+    x = x_init = _unpack(x0.data)
     for t in range(T):
         x = gt[:, t] * (lamc * x) + dc[:, t]
         xs[:, t] = x
@@ -453,61 +493,14 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor 
             x_prev = xs[:, t - 1] if t > 0 else x_init
             glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
             acc = gt[:, t] * lam_conj * acc
-        return (_pack(glam), _pack(gd), _pack(acc))[: len(parents)]
+        return _pack(glam), _pack(gd), _pack(acc)
 
-    parents = (lam, drive) if x0 is None else (lam, drive, x0)
-    return _make(_pack(xs), parents, vjp)
+    return _make(_pack(xs), (lam, drive, x0), vjp)
 
 
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# gradient checking
 # ---------------------------------------------------------------------------
-
-
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; grads accumulate into leaves.
-
-    Each node sums the gradients it receives in its own .grad; in reverse
-    topological order, an inner node's VJP runs on that sum and its .grad is
-    cleared. The graph is consumed: calling backward twice on the same loss
-    raises.
-    """
-    if loss.data.size != 1:
-        raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._consumed:
-        raise GraphError("backward: graph already consumed; rerun the forward pass")
-    if not loss.requires_grad:
-        raise GraphError("backward: loss does not require grad")
-
-    # Iterative topological sort (graphs can be deeper than the recursion limit).
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
-
-    seed = np.ones_like(loss.data)
-    loss.grad = seed if loss.grad is None else loss.grad + seed
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
-            continue  # a leaf keeps its .grad
-        for p, pg in zip(node._parents, node._vjp(node.grad)):
-            if p.requires_grad and pg is not None:
-                p.grad = pg if p.grad is None else p.grad + pg
-        node.grad = None
-        node._vjp = None
-        node._consumed = True
-    loss._consumed = True
 
 
 @dataclass
@@ -538,9 +531,8 @@ def grad_check(
     if epsilon <= 0:
         raise ValueError("grad_check: epsilon must be positive")
     for leaf in leaves.values():
-        leaf.zero_grad()
-    loss = fn()
-    backward(loss)
+        leaf.grad = None
+    fn().backward()
     analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data)) for name, t in leaves.items()}
 
     by_leaf: dict[str, list[tuple[float, float]]] = {}

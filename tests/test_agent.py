@@ -104,8 +104,8 @@ def test_clock_replay_and_uplink_widths(depth, k, steps, seed):
         assert lvl.action_emissions == steps // k**i
         if i > 0:
             below = agent.levels[i - 1]
-            width = k * (below.wm.h_width + below.cfg.wm.z_flat)
-            assert lvl.cfg.wm.obs_dim == lvl.replay.obs.shape[1] == width
+            width = k * (below.wm.h_width + below.wm.cfg.z_flat)
+            assert lvl.wm.cfg.obs_dim == lvl.replay.obs.shape[1] == width
             assert len(lvl.replay) == steps // k**i
     assert agent.levels[0].replay.n == steps + terminals
 
@@ -275,7 +275,7 @@ def test_top_level_trains_no_subgoal_stream(monkeypatch):
     assert heads(low.ac) == {"v_extr", "v_g", "v_nov"} and low.ac.mix == MIX
     assert heads(top.ac) == {"v_extr", "v_nov"}
     # built without a mix, an actor-critic has every stream, as a lower level's
-    assert heads(ActorCritic(make_rng(0), low.cfg.ac)) == heads(low.ac)
+    assert heads(ActorCritic(make_rng(0), low.ac.cfg)) == heads(low.ac)
 
     calls = []
     monkeypatch.setattr(agent_module, "subgoal_reward", lambda *args: calls.append(args) or subgoal_reward(*args))

@@ -1,7 +1,10 @@
-"""The package's public surface: every tensor op and every definition has a caller, every script resolves."""
+"""The package's public surface: every tensor op and every definition has a caller, every script resolves,
+and the benchmark finds every name it imports or traces."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 import tomllib
 from pathlib import Path
 
@@ -11,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sswm"
 
 # The autodiff engine itself, public whether or not a module imports it.
-ENGINE_API = {"Tensor", "ShapeError", "GraphError", "no_grad", "make_rng", "backward", "grad_check", "GradCheckReport"}
+ENGINE_API = {"Tensor", "ShapeError", "GraphError", "no_grad", "make_rng", "grad_check", "GradCheckReport"}
 
 
 # Definitions that nothing in src/sswm/ calls, each with the caller outside it.
@@ -22,7 +25,6 @@ OUTSIDE_CALLERS = {
     "observe_result": "driver protocol: once per env step",
     "record_terminal": "driver protocol: on a terminal step",
     "train_due_levels": "driver protocol: the training loop",
-    "EtbsSampler": "driver protocol: the replay sampler train_due_levels takes",
     "UniformSampler": "driver protocol: the plain replay sampler",
     "set_random_phase": "perfbench/workloads.py: the random prefill",
     "expected_draws": "test oracle: tests/test_replay.py",
@@ -87,3 +89,23 @@ def test_project_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} -> {target} is not callable"
+
+
+def _load_by_path(path: Path, monkeypatch):
+    """Import a benchmark module from its file; sys.modules holds it for the test only (dataclasses look it up)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_imports_and_traces_every_name_it_uses(monkeypatch):
+    # the benchmark's own tests take minutes; loading its modules and
+    # installing its tracer finds a renamed or deleted name in a second
+    _load_by_path(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    tracer = _load_by_path(ROOT / "perfbench" / "tracing.py", monkeypatch).Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

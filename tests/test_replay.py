@@ -198,6 +198,27 @@ def test_reset_flags_match_per_window_loop():
     np.testing.assert_array_equal(ds.reset_flags(starts, length), want)
 
 
+def test_sample_batch_draws_every_start_in_one_etbs_call():
+    ds = fill_dataset()
+    batch = ds.sample_batch(make_rng(42), 8, 6, EtbsSampler(0.3))
+    np.testing.assert_array_equal(batch["start"], etbs_indices(len(ds) - 6 + 1, 0.3, make_rng(42), 8) - 1)
+
+
+@pytest.mark.parametrize("n", [5, 1000, 2**33])
+def test_uniform_sampler_draws_what_one_integer_per_row_drew(n):
+    # a batch of uniform starts is the sequence of per-row rng.integers draws,
+    # so the benchmark's held-out batches are those of the per-row sampler
+    rng = make_rng(13)
+    per_row = np.array([int(rng.integers(1, n + 1)) for _ in range(16)])
+    np.testing.assert_array_equal(etbs_indices(n, UniformSampler().tau, make_rng(13), 16), per_row)
+    if n <= 1000:
+        ds = ExperienceDataset(1, 1, capacity=n + 1)
+        for _ in range(n + 1):
+            ds.append(np.zeros(1), np.zeros(1), 0.0, 1.0, 0)
+        batch = ds.sample_batch(make_rng(13), 16, 2, UniformSampler())
+        np.testing.assert_array_equal(batch["start"], per_row - 1)
+
+
 def test_sample_batch_deterministic():
     ds = fill_dataset()
     b1 = ds.sample_batch(make_rng(42), 4, 6, EtbsSampler(0.3))

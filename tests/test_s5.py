@@ -5,7 +5,7 @@ import pytest
 
 from sswm import s5
 from sswm import tensor as T
-from sswm.tensor import Tensor, add, backward, grad_check, make_rng, mul, tsum
+from sswm.tensor import Tensor, add, grad_check, make_rng, mul, tsum
 
 
 def dense_normal_hippo_oracle(n: int) -> np.ndarray:
@@ -35,6 +35,12 @@ def unpack(x: np.ndarray) -> np.ndarray:
 
 def no_resets(t_len: int) -> np.ndarray:
     return np.zeros((1, t_len), dtype=bool)
+
+
+def scan_from_zero(params: s5.S5Params, u: Tensor, resets):
+    """scan_sequential from the zero start state, with the zero-order hold built in the call."""
+    zero = Tensor(np.zeros((u.shape[0], 2 * params.log_neg_re.shape[0])))
+    return s5.scan_sequential(params, u, resets, s5.discretize(params), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def test_zoh_gradients_match_finite_differences():
     worst = 0.0
     for seed in range(20):
         params = zoh_params(seed)
-        p = params.state_dim
+        p = params.log_neg_re.shape[0]
         rng = make_rng(7000 + seed)
         minus_one = Tensor(np.concatenate([-np.ones(p), np.zeros(p)]))
         w_lam = Tensor(rng.normal(size=2 * p))
@@ -220,7 +226,7 @@ def _complex_exp(a: Tensor) -> Tensor:
 
 def zoh_pair_reference(params: s5.S5Params, b_pair: Tensor) -> tuple[Tensor, Tensor]:
     """lam_bar (P, 2) and b_bar (P, H, 2) from b_pair, B as (P, H, 2) pairs."""
-    p = params.state_dim
+    p = params.log_neg_re.shape[0]
     lam = T.concat([T.reshape(T.neg(_exp(params.log_neg_re)), (p, 1)), T.reshape(params.im, (p, 1))], axis=1)
     delta = T.reshape(_exp(params.log_delta), (p, 1))
     lam_bar = _complex_exp(mul(lam, delta))
@@ -241,14 +247,14 @@ def test_zoh_matches_composed_pair_reference():
         b_pair = Tensor(_pair(unpack(params.b_mat.data).T), requires_grad=True)
 
         lam_bar, b_real = s5.discretize(params)
-        backward(add(tsum(mul(lam_bar, Tensor(w_lam))), tsum(mul(b_real, Tensor(w_b)))))
+        add(tsum(mul(lam_bar, Tensor(w_lam))), tsum(mul(b_real, Tensor(w_b)))).backward()
         grads = [leaf.grad for leaf in rate] + [params.b_mat.grad]
         for leaf in rate:
-            leaf.zero_grad()
+            leaf.grad = None
 
         ref_lam_bar, b_bar = zoh_pair_reference(params, b_pair)
         w_lam_pair, w_b_pair = _pair(unpack(w_lam)), _pair(unpack(w_b).T)
-        backward(add(tsum(mul(ref_lam_bar, Tensor(w_lam_pair))), tsum(mul(b_bar, Tensor(w_b_pair)))))
+        add(tsum(mul(ref_lam_bar, Tensor(w_lam_pair))), tsum(mul(b_bar, Tensor(w_b_pair)))).backward()
         ref_grads = [leaf.grad for leaf in rate] + [T._pack(_cview(b_pair.grad).T)]
 
         np.testing.assert_allclose(lam_bar.data, T._pack(_cview(ref_lam_bar.data)), rtol=0, atol=1e-15)
@@ -283,7 +289,7 @@ def conv_oracle(params, u, resets=None):
     lam = unpack(lam_bar.data)
     bmat = unpack(b_real.data).T  # b_bar, (P, H)
     t_len = u.shape[0]
-    x = np.zeros((t_len, params.state_dim), dtype=complex)
+    x = np.zeros((t_len, params.log_neg_re.shape[0]), dtype=complex)
     for t in range(t_len):
         for j_ in range(t + 1):
             x[t] += lam ** (t - j_) * (bmat @ u[j_])
@@ -294,7 +300,7 @@ def test_sequential_matches_convolution_oracle():
     rng = make_rng(11)
     params = fresh_params(seed=2, p=4, j=2, h=3)
     u = rng.normal(size=(32, 3))
-    x, _ = s5.scan_sequential(params, Tensor(u[None]), no_resets(32))
+    x, _ = scan_from_zero(params, Tensor(u[None]), no_resets(32))
     assert x.shape == (1, 32, 8)
     got = unpack(x.data[0])
     np.testing.assert_allclose(got, conv_oracle(params, u), atol=1e-10)
@@ -305,7 +311,7 @@ def test_scan_all_resets_has_no_history():
     params = fresh_params(seed=3)
     u = rng.normal(size=(8, 3))
     _, b_real = s5.discretize(params)
-    x, _ = s5.scan_sequential(params, Tensor(u[None]), np.ones((1, 8), dtype=bool))
+    x, _ = scan_from_zero(params, Tensor(u[None]), np.ones((1, 8), dtype=bool))
     got = unpack(x.data[0])
     want = u @ unpack(b_real.data)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -313,7 +319,7 @@ def test_scan_all_resets_has_no_history():
 
 def test_scan_zero_input_stays_zero():
     params = fresh_params(seed=4)
-    x, y = s5.scan_sequential(params, Tensor(np.zeros((1, 10, 3))), no_resets(10))
+    x, y = scan_from_zero(params, Tensor(np.zeros((1, 10, 3))), no_resets(10))
     assert np.abs(x.data).max() == 0.0
     assert np.abs(y.data).max() == 0.0
 
@@ -324,9 +330,9 @@ def test_reset_splits_into_independent_scans():
     u = rng.normal(size=(1, 12, 3))
     resets = no_resets(12)
     resets[0, 5] = True
-    x, _ = s5.scan_sequential(params, Tensor(u), resets)
-    xa, _ = s5.scan_sequential(params, Tensor(u[:, :5]), no_resets(5))
-    xb, _ = s5.scan_sequential(params, Tensor(u[:, 5:]), no_resets(7))
+    x, _ = scan_from_zero(params, Tensor(u), resets)
+    xa, _ = scan_from_zero(params, Tensor(u[:, :5]), no_resets(5))
+    xb, _ = scan_from_zero(params, Tensor(u[:, 5:]), no_resets(7))
     np.testing.assert_allclose(x.data[:, :5], xa.data, atol=1e-12)
     np.testing.assert_allclose(x.data[:, 5:], xb.data, atol=1e-12)
 
@@ -338,9 +344,9 @@ def test_scan_resumes_from_carried_state():
     u = rng.normal(size=(2, 12, 3))
     resets = np.zeros((2, 12), dtype=bool)
     resets[0, 8] = True  # inside the continuation
-    x, y = s5.scan_sequential(params, Tensor(u), resets)
-    xa, ya = s5.scan_sequential(params, Tensor(u[:, :5]), resets[:, :5])
-    xb, yb = s5.scan_sequential(params, Tensor(u[:, 5:]), resets[:, 5:], x0=Tensor(xa.data[:, -1]))
+    x, y = scan_from_zero(params, Tensor(u), resets)
+    xa, ya = scan_from_zero(params, Tensor(u[:, :5]), resets[:, :5])
+    xb, yb = s5.scan_sequential(params, Tensor(u[:, 5:]), resets[:, 5:], s5.discretize(params), Tensor(xa.data[:, -1]))
     np.testing.assert_allclose(np.concatenate([xa.data, xb.data], axis=1), x.data, atol=1e-12)
     np.testing.assert_allclose(np.concatenate([ya.data, yb.data], axis=1), y.data, atol=1e-12)
 
@@ -352,8 +358,8 @@ def test_reset_at_continuation_start_drops_carried_state():
     x0 = Tensor(rng.normal(size=(2, 8)))  # packed [Re x | Im x], P=4
     resets = np.zeros((2, 6), dtype=bool)
     resets[0, 0] = True
-    x, y = s5.scan_sequential(params, Tensor(u), resets, x0=x0)
-    x_fresh, y_fresh = s5.scan_sequential(params, Tensor(u), np.zeros((2, 6), dtype=bool))
+    x, y = s5.scan_sequential(params, Tensor(u), resets, s5.discretize(params), x0)
+    x_fresh, y_fresh = scan_from_zero(params, Tensor(u), np.zeros((2, 6), dtype=bool))
     np.testing.assert_array_equal(x.data[0], x_fresh.data[0])
     np.testing.assert_array_equal(y.data[0], y_fresh.data[0])
     assert np.abs(x.data[1] - x_fresh.data[1]).max() > 1e-3  # row 1 carries x0
@@ -366,10 +372,10 @@ def test_reset_isolation_exact():
     u = rng.normal(size=(1, 16, 3))
     resets = no_resets(16)
     resets[0, 9] = True
-    x1, y1 = s5.scan_sequential(params, Tensor(u), resets)
+    x1, y1 = scan_from_zero(params, Tensor(u), resets)
     u2 = u.copy()
     u2[0, :9] += rng.normal(size=(9, 3))
-    x2, y2 = s5.scan_sequential(params, Tensor(u2), resets)
+    x2, y2 = scan_from_zero(params, Tensor(u2), resets)
     np.testing.assert_array_equal(x1.data[:, 9:], x2.data[:, 9:])
     np.testing.assert_array_equal(y1.data[:, 9:], y2.data[:, 9:])
 
@@ -382,7 +388,7 @@ def test_scan_stability_bound():
     bound = babs.sum(axis=0).max() / (1.0 - mag.max())
     rng = make_rng(23)
     u = np.clip(rng.normal(size=(1, 300, 3)), -1, 1)
-    x, _ = s5.scan_sequential(params, Tensor(u), no_resets(300))
+    x, _ = scan_from_zero(params, Tensor(u), no_resets(300))
     assert np.abs(x.data).max() <= bound + 1e-9
 
 
@@ -393,7 +399,7 @@ def test_scan_gradients_match_finite_differences():
     resets = rng.random((2, 8)) < 0.2
 
     def fn():
-        x, y = s5.scan_sequential(params, u, resets)
+        x, y = scan_from_zero(params, u, resets)
         return add(tsum(mul(y, y)), tsum(mul(x, x)))
 
     leaves = dict(params.params("s5"))

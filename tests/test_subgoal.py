@@ -127,15 +127,16 @@ def test_novelty_nonnegative():
     assert (nov >= 0.0).all()
 
 
-def test_novelty_time_major_batch_matches_per_step_loop():
-    # one call over a rollout's (N, H+1, d) states, rows in time-major order,
-    # draws the sampled codes as a loop over the H+1 steps does
+def test_novelty_batch_matches_per_rollout_loop():
+    # one call over a rollout's (N, H+1, d) states, flattened in row-major
+    # order as the actor's train step does, draws the sampled codes as a loop
+    # over the N rollouts does
     ae = make_ae(seed=18)
     n, hp1 = 5, 4
     h = make_rng(19).normal(size=(n, hp1, 6)) * 3.0
     loop_rng = make_rng(20)
-    loop = np.stack([ae.novelty(h[:, t], loop_rng) for t in range(hp1)], axis=1)
-    batched = ae.novelty(h.transpose(1, 0, 2).reshape(hp1 * n, -1), make_rng(20)).reshape(hp1, n).T
+    loop = np.stack([ae.novelty(h[i], loop_rng) for i in range(n)])
+    batched = ae.novelty(h.reshape(n * hp1, -1), make_rng(20)).reshape(n, hp1)
     np.testing.assert_allclose(batched, loop, rtol=0.0, atol=1e-12)
 
 

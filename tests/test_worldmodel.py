@@ -6,7 +6,7 @@ from scipy import stats
 
 from sswm import dists
 from sswm.s5 import ConfigError
-from sswm.tensor import Tensor, add, backward, grad_check, make_rng, mul, softmax, tsum
+from sswm.tensor import Tensor, add, grad_check, make_rng, mul, softmax, tsum
 from sswm.worldmodel import A_DYN, A_REP, UNIMIX, LatentState, WmConfig, WorldModel
 
 
@@ -88,11 +88,11 @@ def test_straight_through_gradient_equals_probs_path():
     # one node: the one-hot sample itself, on top of the probabilities
     assert sample._parents == (probs_a,)
     np.testing.assert_array_equal(sample.data, dists.sample_one_hot(probs_a.data, make_rng(4)))
-    backward(tsum(mul(sample, Tensor(weights))))
+    tsum(mul(sample, Tensor(weights))).backward()
 
     logits_b = Tensor(logits_a.data.copy(), requires_grad=True)
     probs_b = dists.unimix_probs(logits_b, 0.01)
-    backward(tsum(mul(probs_b, Tensor(weights))))
+    tsum(mul(probs_b, Tensor(weights))).backward()
 
     np.testing.assert_allclose(logits_a.grad, logits_b.grad, atol=1e-12)
 
@@ -111,10 +111,10 @@ def test_unimix_probs_matches_composed_reference():
         logits = Tensor(rng.normal(0.0, 1.0 + seed % 4, size=shape), requires_grad=True)
         weight = Tensor(rng.normal(size=shape))
         out = dists.unimix_probs(logits, unimix)
-        backward(tsum(mul(out, weight)))
+        tsum(mul(out, weight)).backward()
         grad, logits.grad = logits.grad, None
         ref = _unimix_reference(logits, unimix)
-        backward(tsum(mul(ref, weight)))
+        tsum(mul(ref, weight)).backward()
         np.testing.assert_array_equal(out.data, ref.data)
         assert np.abs(grad - logits.grad).max() <= 1e-12 * np.abs(logits.grad).max()
 
@@ -160,7 +160,7 @@ def test_bernoulli_nll_is_finite_and_silent_at_extreme_logits():
         target = np.full(x.shape, t)
         logit = Tensor(x, requires_grad=True)
         nll = dists.bernoulli_nll(logit, target)
-        backward(tsum(nll))
+        tsum(nll).backward()
         # to within rounding at the scale of |logit| and of 1
         tol = 4e-16 * (1.0 + np.abs(x[:5]))
         assert (np.abs(nll.data[:5] - (np.log1p(np.exp(x[:5])) - t * x[:5])) <= tol).all()
@@ -314,7 +314,7 @@ def test_stop_gradient_sidedness():
     post = dists.unimix_probs(post_logits, 0.01)
     prior = dists.unimix_probs(prior_logits, 0.01)
     l_dyn = tsum(dists.kl_categorical(post.detach(), prior))
-    backward(l_dyn)
+    l_dyn.backward()
     assert post_logits.grad is None
     assert np.abs(prior_logits.grad).max() > 0
 
@@ -322,7 +322,7 @@ def test_stop_gradient_sidedness():
     prior_logits2 = Tensor(prior_logits.data.copy(), requires_grad=True)
     post2 = dists.unimix_probs(post_logits2, 0.01)
     prior2 = dists.unimix_probs(prior_logits2, 0.01)
-    backward(tsum(dists.kl_categorical(post2, prior2.detach())))
+    tsum(dists.kl_categorical(post2, prior2.detach())).backward()
     assert prior_logits2.grad is None
     assert np.abs(post_logits2.grad).max() > 0
 
