@@ -30,7 +30,7 @@ from . import dists
 from .nn import MLP, AdamW
 from .replay import ExperienceDataset
 from .subgoal import SubgoalAutoencoder, SubgoalConfig
-from .tensor import Tensor, add, concat, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tslice, tsum
+from .tensor import Tensor, _row_sum, add, concat, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tslice, tsum
 from .worldmodel import LatentState, WmConfig, WorldModel
 
 # read-only: every level's actor-critic holds one of these two by reference
@@ -52,8 +52,8 @@ def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if g_dec.shape[-1:] != h.shape[-1:]:
         raise ValueError(f"subgoal_reward: widths differ, {g_dec.shape} vs {h.shape}")
-    num = (g_dec * h).sum(axis=-1)
-    den = np.maximum(np.linalg.norm(g_dec, axis=-1), np.linalg.norm(h, axis=-1))
+    num = _row_sum(g_dec * h)[..., 0]
+    den = np.sqrt(np.maximum(_row_sum(g_dec * g_dec), _row_sum(h * h)))[..., 0]
     return np.where(den == 0.0, 0.0, num / np.where(den == 0.0, 1.0, den))
 
 
@@ -226,7 +226,7 @@ class Subactor:
             h_t, prior_probs = self.wm.wm_step(
                 Tensor(self.h), Tensor(self.z), Tensor(self.a_prev), np.array([reset]), self._ctx
             )
-            entropy = dists.entropy_categorical_np(prior_probs.data).sum(axis=-1)
+            entropy = dists.latent_entropy_np(prior_probs.data)
         self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
         self.h = h_t.data
         self.z = z_t
@@ -277,7 +277,7 @@ class Subactor:
         # world-model loss drew, with the prior's entropy, as advance gives it.
         z = wm_out["z"].data
         start = LatentState(h=wm_out["h"].data.reshape(n, self.wm.h_width), z=z.reshape(n, *z.shape[2:]))
-        start_entropy = dists.entropy_categorical_np(wm_out["prior_probs"].data).sum(axis=-1)
+        start_entropy = dists.latent_entropy_np(wm_out["prior_probs"].data)
         goal_vec = self.goal_feature()
         hp1 = horizon + 1
         feats = np.empty((n, hp1, self.ac.cfg.feat_width))

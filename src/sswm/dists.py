@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _make, _softmax, _softmax_vjp, add, log, mul, neg, tsum
+from .tensor import Tensor, _make, _ones, _row_sum, _softmax, _softmax_vjp, _upper_ones, add, log, mul, neg, tsum
 
 
 def symlog_np(x: np.ndarray) -> np.ndarray:
@@ -28,16 +28,26 @@ def unimix_probs(logits: Tensor, unimix: float) -> Tensor:
 
 
 def one_hot(idx: np.ndarray, k: int) -> np.ndarray:
-    """Float one-hot rows of width k for integer class indices: (...,) -> (..., k)."""
+    """Float one-hot rows of width k for whole-number class indices: (...,) -> (..., k)."""
     return (idx[..., None] == np.arange(k)).astype(np.float64)
 
 
 def sample_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF categorical sampling over the trailing axis; returns one-hots."""
-    cum = probs.cumsum(axis=-1)
-    cum[..., -1] = 1.0  # guard rounding
-    u = rng.random(probs.shape[:-1] + (1,))
-    return one_hot((u > cum).sum(axis=-1), probs.shape[-1])
+    """Inverse-CDF categorical sampling over the trailing axis; returns one-hots.
+
+    The cumsum is one product with the upper-triangular ones, and the class
+    index is the count of cumulative probabilities below the uniform draw,
+    a product with a ones column. From two rows up, BLAS's gemm adds each
+    row in order, as numpy's cumsum does, so the draws match numpy's bit for
+    bit. A single row goes to gemv, which from width 8 adds in another
+    order: a cumulative probability may move by an ulp, and a draw with it
+    only if the uniform falls within that ulp.
+    """
+    k = probs.shape[-1]
+    cum = probs.reshape(-1, k) @ _upper_ones(k)
+    cum[:, -1] = 1.0  # guard rounding
+    u = rng.random((cum.shape[0], 1))
+    return one_hot(((u > cum) @ _ones(k)).reshape(probs.shape[:-1]), k)
 
 
 def sample_straight_through(probs: Tensor, rng: np.random.Generator) -> Tensor:
@@ -60,8 +70,13 @@ def entropy_categorical(p: Tensor) -> Tensor:
     return neg(tsum(mul(p, log(p)), axis=-1))
 
 
-def entropy_categorical_np(p: np.ndarray) -> np.ndarray:
-    return -(p * np.log(p)).sum(axis=-1)
+def latent_entropy_np(p: np.ndarray) -> np.ndarray:
+    """Entropy (nats) of a latent of independent categoricals: (..., n_cats, n_classes) -> (...).
+
+    One row sum over the flattened n_cats * n_classes terms.
+    """
+    terms = p * np.log(p)
+    return -_row_sum(terms.reshape(p.shape[:-2] + (-1,)))[..., 0]
 
 
 def bernoulli_nll(logit: Tensor, target: np.ndarray) -> Tensor:

@@ -76,4 +76,4 @@ class SubgoalAutoencoder:
         with no_grad():
             _, code = self.encode(Tensor(h), rng)
             recon = self.decode(code)
-        return np.sqrt(((h - recon.data) ** 2).sum(axis=-1))
+        return l2_norm(Tensor(h - recon.data)).data

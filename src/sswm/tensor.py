@@ -23,6 +23,20 @@ is always passed, as a value: zeros start a scan from rest.
 another module: the node's value is computed in numpy, and the VJP maps the
 output gradient to one gradient per parent (None where none is needed).
 
+Every reduction over the trailing axis is a matrix product or runs on a
+class-major copy: a row sum is `rows @ ones(k, 1)` (`_row_sum`), a row max
+is the max over axis 0 of the transposed (k, N) copy (`_row_max`), and the
+cumsum of a categorical draw is `rows @ triu(ones(k, k))`. The reason is
+that numpy reduces a narrow contiguous trailing axis one row at a time, at
+about 100 ns a row: on the 1,024 rows of 8 classes of one imagined step,
+(128, 8, 8), a max took 96 us, a sum 31 us and a cumsum 45 us, while the exp
+that does the real arithmetic took 10 us (numpy 2.4, OpenBLAS on one thread,
+a 2-vCPU Xeon VM). As a product or on the copy, each takes 4-13 us there; at
+batch 1 each costs 0.3-0.9 us more than the reduce. A row sum adds in BLAS
+order, so it may differ from numpy's in the last bits (within a few ulp of
+the row's absolute sum); a row max is exact. The ones columns and triangles
+are cached per width, read-only.
+
 `loss.backward()` is the one backward pass. Graphs are write-once: it
 consumes the graph, and a second call on the same loss raises. Forward passes
 are pure, so tensors may be shared read-only across threads; concurrent
@@ -34,6 +48,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -282,14 +297,43 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+@cache
+def _ones(k: int) -> np.ndarray:
+    """Read-only (k, 1) column of ones: a product with it is a row sum."""
+    col = np.ones((k, 1))
+    col.flags.writeable = False
+    return col
+
+
+@cache
+def _upper_ones(k: int) -> np.ndarray:
+    """Read-only (k, k) upper-triangular ones: a product with it is a row cumsum."""
+    tri = np.triu(np.ones((k, k)))
+    tri.flags.writeable = False
+    return tri
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the trailing axis, kept as width 1: (..., k) -> (..., 1)."""
+    k = x.shape[-1]
+    return (x.reshape(-1, k) @ _ones(k)).reshape(x.shape[:-1] + (1,))
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max over the trailing axis, kept as width 1: (..., k) -> (..., 1)."""
+    k = x.shape[-1]
+    # the ufunc's reduce, not ndarray.max: at batch 1 its Python wrapper is a third of the cost
+    return np.maximum.reduce(x.reshape(-1, k).T.copy(), axis=0).reshape(x.shape[:-1] + (1,))
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - _row_max(x))
+    return e / _row_sum(e)
 
 
 def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Input gradient of a trailing-axis softmax with output `out` under output gradient g."""
-    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+    return out * (g - _row_sum(g * out))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -298,8 +342,16 @@ def softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (_softmax_vjp(out, g),))
 
 
+def _sum_along(x: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """x.sum(axis, keepdims), with the trailing axis (-1, or ndim - 1) summed by `_row_sum`."""
+    if axis not in (-1, x.ndim - 1):
+        return x.sum(axis=axis, keepdims=keepdims)
+    out = _row_sum(x)
+    return out if keepdims else out[..., 0]
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = _sum_along(a.data, axis, keepdims)
 
     def vjp(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
@@ -309,8 +361,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+    # the sum and division numpy's mean runs, so a trailing-axis mean sums as layer_norm does
     count = a.data.size if axis is None else a.shape[axis]
+    out = _sum_along(a.data, axis, keepdims) / count
 
     def vjp(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
@@ -368,9 +421,9 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     width = x.shape[-1]
     if scale.shape != (width,) or shift.shape != (width,):
         raise ShapeError(f"layer_norm: widths differ, {x.shape} vs scale {scale.shape}, shift {shift.shape}")
-    # Each mean is the sum and division numpy's mean runs, without its wrapper.
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) / width
-    var = (centered * centered).sum(axis=-1, keepdims=True) / width
+    # Each mean is a row sum and a division, as in tmean.
+    centered = x.data - _row_sum(x.data) / width
+    var = _row_sum(centered * centered) / width
     inv = np.exp(-0.5 * np.log(var + eps))
     normed = centered * inv
     out = normed * scale.data + shift.data
@@ -378,8 +431,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     def vjp(g):
         rows = g.reshape(-1, width)
         gn = g * scale.data
-        gn_mean = gn.sum(axis=-1, keepdims=True) / width
-        gx = inv * (gn - gn_mean - normed * ((gn * normed).sum(axis=-1, keepdims=True) / width))
+        gn_mean = _row_sum(gn) / width
+        gx = inv * (gn - gn_mean - normed * (_row_sum(gn * normed) / width))
         return gx, (rows * normed.reshape(-1, width)).sum(axis=0), rows.sum(axis=0)
 
     return _make(out, (x, scale, shift), vjp)
@@ -387,7 +440,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
 
 def l2_norm(a: Tensor) -> Tensor:
     """Euclidean norm over the trailing axis: (..., n) -> (...)."""
-    out = np.sqrt((a.data * a.data).sum(axis=-1))
+    out = np.sqrt(_row_sum(a.data * a.data)[..., 0])
 
     def vjp(g):
         # Subgradient 0 at the origin.

@@ -282,7 +282,7 @@ class WorldModel:
                 h_t, prior_probs = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), no_reset, ctx)
                 h[:, i + 1] = h_t.data
                 z[:, i + 1] = dists.sample_one_hot(prior_probs.data, rng)
-                entropies[:, i + 1] = dists.entropy_categorical_np(prior_probs.data).sum(axis=-1)
+                entropies[:, i + 1] = dists.latent_entropy_np(prior_probs.data)
         return {
             "h": h,
             "z": z,

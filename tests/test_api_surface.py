@@ -1,5 +1,5 @@
 """The package's public surface: every tensor op and every definition has a caller, every script resolves,
-and the benchmark finds every name it imports or traces."""
+the benchmark finds every name it imports or traces, and trailing-axis reductions have one form."""
 
 import ast
 import importlib
@@ -79,6 +79,35 @@ def test_every_tensor_op_is_imported_by_another_module():
             used |= _names_imported_from_tensor(path)
     unused = set(tensor.__all__) - ENGINE_API - used
     assert not unused, f"tensor ops no module imports: {sorted(unused)}"
+
+
+def _is_minus_one(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and isinstance(node.operand, ast.Constant)
+        and node.operand.value == 1
+    )
+
+
+def _trailing_axis_reductions(path: Path) -> list[str]:
+    """`file:line` of each .sum/.max/.mean/.cumsum or norm call with -1 as its axis, by keyword or by position."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("sum", "max", "mean", "cumsum", "norm")
+        and any(_is_minus_one(arg) for arg in [*node.args, *(kw.value for kw in node.keywords if kw.arg == "axis")])
+    )
+    return [f"{path.name}:{line}" for line in lines]
+
+
+def test_trailing_axis_reductions_go_through_the_row_helpers():
+    # numpy reduces a narrow trailing axis one row at a time; tensor._row_sum
+    # and tensor._row_max do it as a product or on a class-major copy
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in _trailing_axis_reductions(path)]
+    assert not sites, f"trailing-axis reductions outside tensor._row_sum/_row_max: {sites}"
 
 
 def test_project_scripts_resolve_to_callables():

@@ -33,12 +33,41 @@ def test_softmax_symmetry():
     np.testing.assert_allclose(out.data, np.full(4, 0.25))
 
 
+ROW_SHAPES = [(1, 4), (1, 8, 8), (128, 1, 4), (1024, 8), (128, 32), (8, 16, 8, 8)]
+
+
+def _row_inputs():
+    """Normal draws at every row shape, plus a transposed view and a column slice (neither contiguous)."""
+    rng = make_rng(12)
+    xs = [rng.normal(0.0, 5.0, size=shape) for shape in ROW_SHAPES]
+    wide = rng.normal(0.0, 5.0, size=(40, 24))
+    return xs + [wide.T, wide[:, 3:19]]
+
+
+def test_row_sum_and_max_match_numpy_reductions():
+    for x in _row_inputs():
+        got = T._row_sum(x)
+        assert got.shape == x.shape[:-1] + (1,)
+        # a product sums in BLAS order: within 4 ulp of the row's absolute sum
+        assert (np.abs(got[..., 0] - x.sum(axis=-1)) <= 4 * np.spacing(np.abs(x).sum(axis=-1))).all()
+        np.testing.assert_array_equal(T._row_max(x), x.max(axis=-1, keepdims=True))
+
+
+def test_trailing_tsum_and_tmean_take_the_row_sum():
+    for x in _row_inputs():
+        k = x.shape[-1]
+        np.testing.assert_array_equal(T.tsum(Tensor(x), axis=-1).data, T._row_sum(x)[..., 0])
+        np.testing.assert_array_equal(T.tmean(Tensor(x), axis=-1, keepdims=True).data, T._row_sum(x) / k)
+        if x.ndim == 2:  # the trailing axis written as 1
+            np.testing.assert_array_equal(T.tsum(Tensor(x), axis=1).data, T._row_sum(x)[..., 0])
+
+
 def test_softmax_normalized_and_positive():
     rng = make_rng(7)
-    for _ in range(20):
-        logits = rng.normal(0, 5, size=(3, 6))
+    for logits in [rng.normal(0, 5, size=(3, 6)) for _ in range(20)] + _row_inputs():
         p = T.softmax(Tensor(logits)).data
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+        sums = np.array([math.fsum(row) for row in p.reshape(-1, p.shape[-1])])
+        assert np.abs(sums - 1.0).max() <= 1e-15
         assert (p > 0).all()
 
 

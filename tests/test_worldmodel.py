@@ -136,6 +136,43 @@ def test_sample_rows_exactly_one_hot():
     np.testing.assert_array_equal(z.data.sum(axis=-1), 1.0)
 
 
+def _numpy_draws(probs, rng):
+    """The reference draw: numpy's cumsum with the last entry guarded, and the count of entries below u."""
+    cum = probs.cumsum(axis=-1)
+    cum[..., -1] = 1.0
+    u = rng.random(probs.shape[:-1] + (1,))
+    return dists.one_hot((u > cum).sum(axis=-1), probs.shape[-1])
+
+
+def test_sample_one_hot_draws_what_numpy_cumsum_draws():
+    rng = make_rng(8)
+    logits = rng.normal(size=(4224, 8, 8))
+    cases = {
+        "peaked": softmax(Tensor(20.0 * logits)).data,
+        "flat": np.full(logits.shape, 1.0 / 8),
+        "unimixed": dists.unimix_probs(Tensor(logits), UNIMIX).data,
+        "(1, 8, 8)": dists.unimix_probs(Tensor(rng.normal(size=(1, 8, 8))), UNIMIX).data,
+        "(128, 1, 4)": softmax(Tensor(rng.normal(size=(128, 1, 4)))).data,
+    }
+    rows = 0
+    for name, probs in cases.items():
+        got = dists.sample_one_hot(probs, make_rng(9))
+        np.testing.assert_array_equal(got, _numpy_draws(probs, make_rng(9)), err_msg=name)
+        assert np.isin(got, (0.0, 1.0)).all() and (got.sum(axis=-1) == 1.0).all(), name
+        rows += probs.size // probs.shape[-1]
+    assert rows >= 100_000
+
+
+def test_latent_entropy_matches_the_two_step_form():
+    rng = make_rng(10)
+    for shape in [(1, 8, 8), (128, 8, 8), (8, 16, 8, 8), (3, 2, 4)]:
+        p = dists.unimix_probs(Tensor(rng.normal(0.0, 3.0, size=shape)), UNIMIX).data
+        two_step = -(p * np.log(p)).sum(axis=-1).sum(axis=-1)
+        got = dists.latent_entropy_np(p)
+        assert got.shape == shape[:-2]
+        np.testing.assert_allclose(got, two_step, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # symlog / heads
 # ---------------------------------------------------------------------------
