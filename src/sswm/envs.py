@@ -11,7 +11,7 @@ All environments use discrete actions and flat float observation vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +20,11 @@ from .tensor import make_rng
 
 @dataclass
 class EnvStep:
-    """One transition: next observation, reward, termination flag, diagnostics."""
+    """One transition: next observation, reward, termination flag."""
 
     observation: np.ndarray
     reward: float
     done: bool
-    info: dict = field(default_factory=dict)
 
 
 class MemoryCueEnv:
@@ -69,8 +68,8 @@ class MemoryCueEnv:
         if t == self.length:
             self._done = True
             reward = 1.0 if action == self._cue else 0.0
-            return EnvStep(np.zeros(self.obs_dim), reward, True, {"success": reward == 1.0, "cue": self._cue})
-        return EnvStep(self._obs_at(self._t), 0.0, False, {"cue": self._cue})
+            return EnvStep(np.zeros(self.obs_dim), reward, True)
+        return EnvStep(self._obs_at(self._t), 0.0, False)
 
 
 class TwoLevelGridworld:
@@ -128,7 +127,6 @@ class TwoLevelGridworld:
         self._pos = (r, c)
         self._steps += 1
         reward = 0.0
-        success = False
         if not self._in_b:
             if self._pos == self.key:
                 self._has_key = True
@@ -137,12 +135,10 @@ class TwoLevelGridworld:
                 self._pos = self.start
         elif self._pos == self.goal:
             reward = 1.0
-            success = True
             self._done = True
         if self._steps >= self.max_steps:
             self._done = True
-        info = {"room": "B" if self._in_b else "A", "has_key": self._has_key, "success": success}
-        return EnvStep(self._obs(), reward, self._done, info)
+        return EnvStep(self._obs(), reward, self._done)
 
 
 class LinearSystemEnv:
@@ -212,7 +208,7 @@ class LinearSystemEnv:
         self._t += 1
         self._done = self._t >= self.horizon
         obs = self._x + self._noise()
-        return EnvStep(obs, -float(self._x @ self._x), self._done, {"state": self._x.copy()})
+        return EnvStep(obs, -float(self._x @ self._x), self._done)
 
 
 ENVS = {"memory_cue": MemoryCueEnv, "gridworld": TwoLevelGridworld, "linear": LinearSystemEnv}

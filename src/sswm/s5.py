@@ -3,10 +3,12 @@
 A layer is a diagonal complex linear recurrence x_t = lam_bar*x_{t-1} + b_bar*u_t
 with real readout y_t = Re(C x_t) + D u_t, discretized from a continuous system
 by zero-order hold with a learned per-state timescale. The zero state is the
-one start state: training windows start from it, and episode boundaries reset
-the state to it by gating the decay term, so training sequences may span
-episodes without leaking history across them. Only the optimizer moves the
-timescale, unbounded: the zero-order hold is exact for every delta > 0.
+one start state: training windows start from it, and episode boundaries inside
+a window reset the state to it by gating the decay term, so training sequences
+may span episodes without leaking history across them. That gate is the only
+reset mechanism; an online step has none, and its caller resets by carrying
+the zero state in. Only the optimizer moves the timescale, unbounded: the
+zero-order hold is exact for every delta > 0.
 
 The recurrence has one implementation, a sequential scan with an analytic
 adjoint (tensor.linear_recurrence). Training runs it over whole windows from
@@ -21,7 +23,8 @@ nodes with analytic VJPs, and states keep it from the drive through the scan
 to the readout; concatenated over blocks, they are the deterministic part h_t
 of a world-model state. A block is pre-norm -> drive matmul -> scan -> readout
 matmul plus D feedthrough -> GELU -> residual add, eight graph nodes with no
-layout conversion between them.
+layout conversion between them. S5Stack holds its blocks as two per-block
+lists, the SSM parameters and the layer norms.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import numpy as np
 
 from .nn import LayerNorm
 from .tensor import Tensor, _make, _pack, _unpack, add, concat, gelu, linear_recurrence, matmul, mul, reshape, tslice
+
+INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
 
 
 class ConfigError(ValueError):
@@ -197,48 +202,41 @@ def scan_sequential(
     return x, y
 
 
-class S5Block:
-    """Pre-norm S5 layer with GELU nonlinearity and a residual connection."""
-
-    def __init__(self, rng, width: int, state_dim: int, init_blocks: int):
-        self.s5 = hippo_n_init(state_dim, init_blocks, width, rng)
-        self.norm = LayerNorm(width)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = self.s5.params(f"{prefix}.s5")
-        out.update(self.norm.params(f"{prefix}.norm"))
-        return out
-
-
 class S5Stack:
-    """Stack of S5 blocks exposing the concatenated internal states.
+    """Stack of pre-norm S5 blocks, each with GELU and a residual connection.
 
-    The per-step deterministic state h_t is, per block, the realified internal
-    state [Re x_t | Im x_t] concatenated over blocks (width n_blocks * 2P).
+    Block i is the SSM ssms[i] with the layer norm norms[i]. The per-step
+    deterministic state h_t is, per block, the realified internal state
+    [Re x_t | Im x_t] concatenated over blocks (width n_blocks * 2P).
     """
 
-    def __init__(self, rng, width: int, state_dim: int, n_blocks: int, init_blocks: int):
+    def __init__(self, rng, width: int, state_dim: int, n_blocks: int):
         if n_blocks < 1:
             raise ConfigError("need at least one S5 block")
         self.width = width
         self.state_dim = state_dim
-        self.blocks = [S5Block(rng, width, state_dim, init_blocks) for _ in range(n_blocks)]
+        self.ssms = [hippo_n_init(state_dim, INIT_BLOCKS, width, rng) for _ in range(n_blocks)]
+        self.norms = [LayerNorm(width) for _ in range(n_blocks)]
 
     def params(self, prefix: str = "stack") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.params(f"{prefix}.b{i}"))
+        for i, (ssm, norm) in enumerate(zip(self.ssms, self.norms)):
+            out.update(ssm.params(f"{prefix}.b{i}.s5"))
+            out.update(norm.params(f"{prefix}.b{i}.norm"))
         return out
 
-    def _run(self, u: Tensor, resets: np.ndarray, discretized, x0s) -> tuple[Tensor, Tensor]:
-        """Every block over (B,T,H) inputs from per-block packed start states x0s.
+    def _run(self, u: Tensor, resets: np.ndarray, discretized, x0: Tensor) -> tuple[Tensor, Tensor]:
+        """Every block over (B,T,H) inputs from the packed start state x0 (B, n_blocks*2P).
 
-        Returns the last block's outputs m and the packed states: per block
-        [Re x_t | Im x_t], concatenated over blocks into (B, T, n_blocks*2P).
+        Block i starts from its own slice of x0. Returns the last block's
+        outputs m and the packed states: per block [Re x_t | Im x_t],
+        concatenated over blocks into (B, T, n_blocks*2P).
         """
+        w = 2 * self.state_dim
         h_parts = []
-        for blk, disc, x0 in zip(self.blocks, discretized, x0s):
-            x, y = scan_sequential(blk.s5, blk.norm(u), resets, disc, x0)
+        for i, (ssm, norm, disc) in enumerate(zip(self.ssms, self.norms, discretized)):
+            x0_i = tslice(x0, (slice(None), slice(i * w, (i + 1) * w)))
+            x, y = scan_sequential(ssm, norm(u), resets, disc, x0_i)
             u = add(u, gelu(y))
             h_parts.append(x)
         return u, concat(h_parts, axis=2)
@@ -246,11 +244,12 @@ class S5Stack:
     def forward(self, u: Tensor, resets) -> tuple[Tensor, Tensor]:
         """Full-sequence pass over u (B,T,H) and resets (B,T).
 
-        Every block starts from the zero start state, a (B, 2P) constant.
-        Returns (m, h): outputs and deterministic states.
+        Every block starts from the zero start state; resets inside the
+        window return a row to it. Returns (m, h): outputs and deterministic
+        states.
         """
-        zero = Tensor(np.zeros((u.shape[0], 2 * self.state_dim)))
-        return self._run(u, resets, self.discretized(), [zero] * len(self.blocks))
+        zero = Tensor(np.zeros((u.shape[0], len(self.ssms) * 2 * self.state_dim)))
+        return self._run(u, resets, self.discretized(), zero)
 
     def discretized(self) -> list[tuple[Tensor, Tensor]]:
         """The step context: per block (lam_bar, b_real) from discretize.
@@ -259,26 +258,19 @@ class S5Stack:
         it over many steps, and rebuild it after every parameter update. The
         readout needs no entry: it is the parameter c_mat itself.
         """
-        return [discretize(blk.s5) for blk in self.blocks]
+        return [discretize(ssm) for ssm in self.ssms]
 
-    def step(
-        self,
-        h_prev: Tensor,
-        u: Tensor,
-        reset: np.ndarray,
-        discretized: list[tuple[Tensor, Tensor]],
-    ) -> tuple[Tensor, Tensor]:
+    def step(self, h_prev: Tensor, u: Tensor, discretized: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor]:
         """One online step: the sequence pass at T=1, resumed from h_prev.
 
         h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
-        forward() returns, and each block resumes from its own slice of it;
-        u: (B,H); reset: (B,) bool drops h_prev, as a zero h_prev, the start
-        state, would. The return is (m, h) with h in the same packed layout.
-        discretized is the step context, self.discretized(): per block
-        (lam_bar, b_real), built once and reused over many steps.
+        forward() returns; a zero h_prev is the start state, so a caller
+        resets a row by zeroing it. u: (B,H). The return is (m, h) with h in
+        the same packed layout. discretized is the step context,
+        self.discretized(): per block (lam_bar, b_real), built once and
+        reused over many steps.
         """
-        bsz, w = u.shape[0], 2 * self.state_dim
-        x0s = [tslice(h_prev, (slice(None), slice(i * w, (i + 1) * w))) for i in range(len(self.blocks))]
-        resets = np.asarray(reset, dtype=bool).reshape(bsz, 1)
-        m, h = self._run(reshape(u, (bsz, 1, self.width)), resets, discretized, x0s)
-        return reshape(m, (bsz, self.width)), reshape(h, (bsz, len(self.blocks) * w))
+        bsz = u.shape[0]
+        no_resets = np.zeros((bsz, 1), dtype=bool)
+        m, h = self._run(reshape(u, (bsz, 1, self.width)), no_resets, discretized, h_prev)
+        return reshape(m, (bsz, self.width)), reshape(h, (bsz, h_prev.shape[1]))

@@ -25,17 +25,18 @@ output gradient to one gradient per parent (None where none is needed).
 
 Every reduction over the trailing axis is a matrix product or runs on a
 class-major copy: a row sum is `rows @ ones(k, 1)` (`_row_sum`), a row max
-is the max over axis 0 of the transposed (k, N) copy (`_row_max`), and the
-cumsum of a categorical draw is `rows @ triu(ones(k, k))`. The reason is
-that numpy reduces a narrow contiguous trailing axis one row at a time, at
-about 100 ns a row: on the 1,024 rows of 8 classes of one imagined step,
-(128, 8, 8), a max took 96 us, a sum 31 us and a cumsum 45 us, while the exp
-that does the real arithmetic took 10 us (numpy 2.4, OpenBLAS on one thread,
-a 2-vCPU Xeon VM). As a product or on the copy, each takes 4-13 us there; at
-batch 1 each costs 0.3-0.9 us more than the reduce. A row sum adds in BLAS
-order, so it may differ from numpy's in the last bits (within a few ulp of
-the row's absolute sum); a row max is exact. The ones columns and triangles
-are cached per width, read-only.
+(softmax's shift, its one use) is the max over axis 0 of the transposed
+(k, N) copy, and the cumsum of a categorical draw is `rows @ triu(ones(k, k))`.
+The reason is that numpy reduces a narrow contiguous trailing axis one row at
+a time, at about 100 ns a row: on the 1,024 rows of 8 classes of one imagined
+step, (128, 8, 8), a max took 96 us, a sum 31 us and a cumsum 45 us, while
+the exp that does the real arithmetic took 10 us (numpy 2.4, OpenBLAS on one
+thread, a 2-vCPU Xeon VM). As a product or on the copy, each takes 4-13 us
+there; at batch 1 each costs 0.3-0.9 us more than the reduce, for the
+reshapes around it, so softmax reshapes once to (N, k) and once back. A row
+sum adds in BLAS order, so it may differ from numpy's in the last bits
+(within a few ulp of the row's absolute sum); a row max is exact. The ones
+columns and triangles are cached per width, read-only.
 
 `loss.backward()` is the one backward pass. Graphs are write-once: it
 consumes the graph, and a second call on the same loss raises. Forward passes
@@ -319,16 +320,15 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, k) @ _ones(k)).reshape(x.shape[:-1] + (1,))
 
 
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """Max over the trailing axis, kept as width 1: (..., k) -> (..., 1)."""
-    k = x.shape[-1]
-    # the ufunc's reduce, not ndarray.max: at batch 1 its Python wrapper is a third of the cost
-    return np.maximum.reduce(x.reshape(-1, k).T.copy(), axis=0).reshape(x.shape[:-1] + (1,))
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - _row_max(x))
-    return e / _row_sum(e)
+    """Softmax over the trailing axis, on one (N, k) view: one reshape in and one out."""
+    k = x.shape[-1]
+    rows = x.reshape(-1, k)
+    # the max on the class-major copy, and by the ufunc's reduce, not ndarray.max:
+    # at batch 1 that method's Python wrapper is a third of the cost
+    e = np.exp(rows - np.maximum.reduce(rows.T.copy(), axis=0)[:, None])
+    e /= e @ _ones(k)
+    return e.reshape(x.shape)
 
 
 def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ UNIMIX = 0.01
 A_DYN = 0.5  # trains the prior
 A_REP = 0.1  # trains the posterior
 FREE_BITS = 1.0
-INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
 
 
 @dataclass
@@ -92,7 +91,7 @@ class WorldModel:
         c = cfg
         self.encoder = MLP(rng, [c.obs_dim, c.mlp_units, c.z_flat])
         self.in_proj = Linear(rng, c.z_flat + c.action_dim, c.model_dim)
-        self.stack = S5Stack(rng, c.model_dim, c.state_dim, c.n_blocks, INIT_BLOCKS)
+        self.stack = S5Stack(rng, c.model_dim, c.state_dim, c.n_blocks)
         self.h_width = c.h_width
         self.dyn = MLP(rng, [c.model_dim, c.mlp_units, c.z_flat])
         feat = self.h_width + c.z_flat
@@ -217,23 +216,17 @@ class WorldModel:
 
     # -- stepwise interface ---------------------------------------------------
 
-    def wm_step(
-        self,
-        h_prev: Tensor,
-        z_prev: Tensor,
-        a_prev: Tensor,
-        reset: np.ndarray,
-        ctx: list[tuple[Tensor, Tensor]],
-    ) -> tuple[Tensor, Tensor]:
+    def wm_step(self, h_prev: Tensor, z_prev: Tensor, a_prev: Tensor, ctx: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor]:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (h_t, prior probabilities p(z_t|m_t)).
 
-        z_prev: (B, n_cats, n_classes) one-hots (flattened internally);
-        reset True drops all dependence on h_prev; ctx is the S5 step context,
-        self.stack.discretized(), reused over many steps.
+        z_prev: (B, n_cats, n_classes) one-hots (flattened internally). A row
+        starts an episode from all-zero h_prev, z_prev and a_prev, the start
+        state, so a caller resets it by zeroing them. ctx is the S5 step
+        context, self.stack.discretized(), reused over many steps.
         """
         bsz = h_prev.shape[0]
         zf = reshape(z_prev, (bsz, self.cfg.z_flat))
-        m, h = self.stack.step(h_prev, self.in_proj(concat([zf, a_prev], axis=1)), reset, ctx)
+        m, h = self.stack.step(h_prev, self.in_proj(concat([zf, a_prev], axis=1)), ctx)
         return h, self._prior(m)
 
     # -- imagination -----------------------------------------------------------
@@ -263,7 +256,6 @@ class WorldModel:
             z[:, 0] = start.z
             if start_entropy is not None:
                 entropies[:, 0] = start_entropy
-            no_reset = np.zeros(bsz, dtype=bool)
             for i in range(horizon + 1):
                 r_t, c_t = self.predict_heads(Tensor(np.concatenate([h[:, i], z[:, i].reshape(bsz, c.z_flat)], axis=1)))
                 rewards[:, i] = dists.symexp_np(r_t.data)
@@ -279,7 +271,7 @@ class WorldModel:
                 }
                 a = act_fn(i, state)
                 actions[:, i] = a
-                h_t, prior_probs = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), no_reset, ctx)
+                h_t, prior_probs = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), ctx)
                 h[:, i + 1] = h_t.data
                 z[:, i + 1] = dists.sample_one_hot(prior_probs.data, rng)
                 entropies[:, i + 1] = dists.latent_entropy_np(prior_probs.data)

@@ -258,7 +258,7 @@ def test_step_context_follows_train_step():
 
     def step_h(ctx):
         with no_grad():
-            h, _ = lvl.wm.wm_step(Tensor(lvl.h), Tensor(lvl.z), Tensor(lvl.a_prev), np.array([False]), ctx)
+            h, _ = lvl.wm.wm_step(Tensor(lvl.h), Tensor(lvl.z), Tensor(lvl.a_prev), ctx)
         return h.data
 
     fresh, old = step_h(lvl.wm.stack.discretized()), step_h(stale)

@@ -1,9 +1,11 @@
 """The package's public surface: every tensor op and every definition has a caller, every script resolves,
-the benchmark finds every name it imports or traces, and trailing-axis reductions have one form."""
+the benchmark finds every name it imports or traces and runs one operation of each listed workload, and
+trailing-axis reductions have one form."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 import tomllib
 from pathlib import Path
@@ -105,9 +107,9 @@ def _trailing_axis_reductions(path: Path) -> list[str]:
 
 def test_trailing_axis_reductions_go_through_the_row_helpers():
     # numpy reduces a narrow trailing axis one row at a time; tensor._row_sum
-    # and tensor._row_max do it as a product or on a class-major copy
+    # and tensor._softmax's max do it as a product or on a class-major copy
     sites = [site for path in sorted(SRC.glob("*.py")) for site in _trailing_axis_reductions(path)]
-    assert not sites, f"trailing-axis reductions outside tensor._row_sum/_row_max: {sites}"
+    assert not sites, f"trailing-axis reductions outside tensor._row_sum/_softmax: {sites}"
 
 
 def test_project_scripts_resolve_to_callables():
@@ -138,3 +140,19 @@ def test_benchmark_imports_and_traces_every_name_it_uses(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_workloads_run_one_operation_each(monkeypatch):
+    # a changed call form of anything a listed workload calls fails here, not
+    # only in the benchmark's own tests
+    workloads = _load_by_path(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    listed = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert listed
+    for name in listed:
+        wl = workloads.WORKLOADS[name](seed=0)
+        wl.prepare(wl.build())
+        ledger = workloads.Ledger()
+        ledger.run(wl.op)
+        wl.check_outputs()
+        assert (ledger.attempted, ledger.failed) == (1, 0), f"{name}: {dict(ledger.errors)}"
+        assert not wl.failures, f"{name}: {wl.failures}"

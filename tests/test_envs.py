@@ -109,7 +109,7 @@ def test_gridworld_random_policy_rarely_succeeds():
         while True:
             step = env.step(int(rng.integers(4)))
             if step.done:
-                successes += step.info["success"]
+                successes += step.reward == 1.0  # the gridworld pays 1 exactly on success
                 break
     assert successes / episodes < 0.05
 

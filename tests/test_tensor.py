@@ -50,7 +50,9 @@ def test_row_sum_and_max_match_numpy_reductions():
         assert got.shape == x.shape[:-1] + (1,)
         # a product sums in BLAS order: within 4 ulp of the row's absolute sum
         assert (np.abs(got[..., 0] - x.sum(axis=-1)) <= 4 * np.spacing(np.abs(x).sum(axis=-1))).all()
-        np.testing.assert_array_equal(T._row_max(x), x.max(axis=-1, keepdims=True))
+        # softmax shifts each row by its max, taken on the class-major copy: exactly numpy's
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(T._softmax(x), e / T._row_sum(e))
 
 
 def test_trailing_tsum_and_tmean_take_the_row_sum():

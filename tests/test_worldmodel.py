@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from sswm import dists
+from sswm.agent import build_agent
 from sswm.s5 import ConfigError
 from sswm.tensor import Tensor, add, grad_check, make_rng, mul, softmax, tsum
 from sswm.worldmodel import A_DYN, A_REP, UNIMIX, LatentState, WmConfig, WorldModel
@@ -219,16 +220,21 @@ def test_encode_rejects_wrong_width():
 # ---------------------------------------------------------------------------
 
 
-def test_wm_step_reset_ignores_history():
-    wm = make_wm(seed=7)
-    rng = make_rng(8)
-    z = dists.sample_one_hot(np.full((3, 2, 4), 0.25), rng)
-    a = rng.normal(size=(3, 3))
-    reset, ctx = np.ones(3, dtype=bool), wm.stack.discretized()
-    h1, prior1 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
-    h2, prior2 = wm.wm_step(Tensor(rng.normal(size=(3, wm.h_width))), Tensor(z), Tensor(a), reset, ctx)
-    np.testing.assert_array_equal(h1.data, h2.data)
-    np.testing.assert_array_equal(prior1.data, prior2.data)
+def test_advance_reset_ignores_history():
+    # a reset returns a level to the zero start state before it steps, so two
+    # copies of one level with different histories step alike from it
+    wm_kwargs = dict(n_cats=2, n_classes=4, model_dim=6, state_dim=4, mlp_units=8)
+    copies = [build_agent(7, 5, 3, depth=1, k=2, wm_kwargs=wm_kwargs).levels[0] for _ in range(2)]
+    for lvl, steps in zip(copies, (3, 5)):
+        rng = make_rng(steps)
+        for t in range(steps):
+            feats = lvl.advance(rng.normal(size=5), float(rng.normal()), 1.0, t == 0, 0, rng)
+            lvl.choose_action(feats, rng, random_action=True)
+    assert not np.array_equal(copies[0].h, copies[1].h)
+    obs = make_rng(8).normal(size=5)
+    feats = [lvl.advance(obs, 0.0, 1.0, True, 1, make_rng(9)) for lvl in copies]
+    np.testing.assert_array_equal(feats[0], feats[1])
+    np.testing.assert_array_equal(copies[0].h, copies[1].h)
 
 
 def test_unrolled_steps_match_sequence_forward():
@@ -248,7 +254,8 @@ def test_unrolled_steps_match_sequence_forward():
     for t in range(t_len):
         keep = 1.0 - batch["reset"][:, t].astype(float)
         zp = z_prev * keep[:, None, None]
-        h, prior = wm.wm_step(h, Tensor(zp), Tensor(batch["action"][:, t]), batch["reset"][:, t], ctx)
+        h = Tensor(h.data * keep[:, None])  # a reset row steps from the zero start state
+        h, prior = wm.wm_step(h, Tensor(zp), Tensor(batch["action"][:, t]), ctx)
         np.testing.assert_allclose(h.data, h_seq[:, t], atol=1e-10)
         np.testing.assert_allclose(prior.data, prior_seq[:, t], atol=1e-10)
         z_prev = z[:, t]
@@ -267,7 +274,7 @@ def test_zero_network_gives_zero_output():
     z = np.zeros((2, 2, 4))
     z[:, :, 0] = 1.0
     _, prior = wm.wm_step(
-        Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), np.zeros(2, bool), wm.stack.discretized()
+        Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), wm.stack.discretized()
     )
     # the sequence model's output m is zero, so the prior is the one at m = 0
     np.testing.assert_allclose(prior.data, wm._prior(Tensor(np.zeros((2, wm.cfg.model_dim)))).data, atol=1e-12)
