@@ -159,8 +159,6 @@ class LinearSystemEnv:
         noise_std: float = 0.05,
         seed: int = 0,
         horizon: int = 32,
-        m_mat: np.ndarray | None = None,
-        n_mat: np.ndarray | None = None,
     ):
         self.dim = dim
         self.obs_dim = dim
@@ -168,14 +166,9 @@ class LinearSystemEnv:
         self.noise_std = noise_std
         self.horizon = horizon
         rng = make_rng(seed, stream=303)
-        if m_mat is None:
-            m_mat = rng.normal(size=(dim, dim))
-            radius = np.abs(np.linalg.eigvals(m_mat)).max()
-            m_mat = 0.8 * m_mat / radius
-        self.m_mat = np.asarray(m_mat, dtype=np.float64)
-        if n_mat is None:
-            n_mat = 0.5 * rng.normal(size=(dim, self.N_ACTIONS))
-        self.n_mat = np.asarray(n_mat, dtype=np.float64)
+        m_mat = rng.normal(size=(dim, dim))
+        self.m_mat = 0.8 * m_mat / np.abs(np.linalg.eigvals(m_mat)).max()
+        self.n_mat = 0.5 * rng.normal(size=(dim, self.N_ACTIONS))
         self._rng = rng
         self._x = np.zeros(dim)
         self._t = 0
@@ -196,8 +189,6 @@ class LinearSystemEnv:
         return self._x + self._noise()
 
     def _noise(self) -> np.ndarray:
-        if self.noise_std == 0.0:
-            return np.zeros(self.dim)
         return self._rng.normal(0.0, self.noise_std, size=self.dim)
 
     def step(self, action: int) -> EnvStep:

@@ -221,16 +221,16 @@ class ExperienceDataset:
 def simulate_process(n: int, sampler_name: str, tau: float, reps: int, seed: int) -> np.ndarray:
     """Run the add-one-then-sample-once process to size n; per-index draw counts.
 
-    Vectorized across replications for uniform/etbs; the O(n) baseline keeps
-    per-replication count state, so it runs rep-by-rep (use modest n).
+    Vectorized across replications for etbs (uniform is etbs at tau = 0);
+    the O(n) baseline keeps per-replication count state, so it runs
+    rep-by-rep (use modest n).
     """
     rng = make_rng(seed, stream=77)
     counts = np.zeros((reps, n), dtype=np.int64)
     rows = np.arange(reps)
-    if sampler_name in ("uniform", "etbs"):
-        t_eff = 0.0 if sampler_name == "uniform" else tau
+    if sampler_name == "etbs":
         for t in range(1, n + 1):
-            idx = etbs_indices(t, t_eff, rng, reps)
+            idx = etbs_indices(t, tau, rng, reps)
             counts[rows, idx - 1] += 1
         return counts
     if sampler_name == "tb_baseline":

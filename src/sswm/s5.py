@@ -16,14 +16,15 @@ the zero state; online stepping runs the same scan over one step, resumed
 from the carried state, with a step context that holds, per block, the
 zero-order hold's (lam_bar, b_real): the diagonal and the real drive matrix,
 so a step builds neither. The readout matrix is the parameter c_mat itself,
-which the scan reads directly. Complex values have one packed real layout, each
-row [Re x | Im x] of width 2P: the input and output matrices are stored in it,
-the zero-order hold produces lam_bar and the drive matrix in it as two graph
-nodes with analytic VJPs, and states keep it from the drive through the scan
-to the readout; concatenated over blocks, they are the deterministic part h_t
-of a world-model state. A block is pre-norm -> drive matmul -> scan -> readout
-matmul plus D feedthrough -> GELU -> residual add, eight graph nodes with no
-layout conversion between them. S5Stack holds its blocks as two per-block
+which the scan reads directly. Complex values have one real layout, numpy's
+own complex128 memory: each row holds P interleaved (Re, Im) pairs, width 2P,
+and tensor's `_complex` and `_real` convert by a view. The input and output
+matrices are stored in it, the zero-order hold produces lam_bar and the drive
+matrix in it as two graph nodes with analytic VJPs, and states keep it from
+the drive through the scan to the readout; concatenated over blocks, they are
+the deterministic part h_t of a world-model state. A block is pre-norm ->
+drive matmul -> scan -> readout matmul plus D feedthrough -> GELU ->
+residual add, eight graph nodes with no layout conversion between them. S5Stack holds its blocks as two per-block
 lists, the SSM parameters and the layer norms.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerNorm
-from .tensor import Tensor, _make, _pack, _unpack, add, concat, gelu, linear_recurrence, matmul, mul, reshape, tslice
+from .tensor import Tensor, _complex, _make, _real, add, concat, gelu, linear_recurrence, matmul, mul, reshape, tslice
 
 INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
 
@@ -75,11 +76,11 @@ class S5Params:
 
     The continuous diagonal is parameterized as lam = -exp(log_neg_re) + i*im
     so its real part stays negative under gradient updates. The complex input
-    matrix B (P, H) and output matrix C (H, P) are stored in the packed state
-    layout: b_mat (H, 2P) holds the columns [Re B^T | Im B^T], and c_mat
-    (2P, H) the rows [Re C^T ; -Im C^T], so x @ c_mat is Re(C x) for a packed
-    state x. d_vec is the real feedthrough and log_delta the per-state log
-    timescale.
+    matrix B (P, H) and output matrix C (H, P) are stored in the state's
+    interleaved layout: b_mat (H, 2P) is B^T viewed as floats, and c_mat
+    (2P, H) holds the rows (Re C^T_p, -Im C^T_p) pair by pair, so x @ c_mat
+    is Re(C x) for a state x. d_vec is the real feedthrough and log_delta the
+    per-state log timescale.
     """
 
     log_neg_re: Tensor
@@ -127,14 +128,14 @@ def hippo_n_init(
     for _ in range(blocks):
         b_cols.append(v.conj().T @ rng.normal(0.0, 1.0 / np.sqrt(width), size=(n, width)))
         c_cols.append(rng.normal(0.0, 1.0 / np.sqrt(state_dim), size=(width, n)) @ v)
-    b_t = np.concatenate(b_cols, axis=0).T  # B^T, (H, P) complex
-    c_t = np.concatenate(c_cols, axis=1).T  # C^T, (P, H) complex
+    b = np.concatenate(b_cols, axis=0)  # B, (P, H) complex
+    c = np.concatenate(c_cols, axis=1)  # C, (H, P) complex
 
     return S5Params(
         log_neg_re=Tensor(log_neg_re, requires_grad=True),
         im=Tensor(im, requires_grad=True),
-        b_mat=Tensor(np.ascontiguousarray(_pack(b_t)), requires_grad=True),
-        c_mat=Tensor(np.ascontiguousarray(np.concatenate([c_t.real, -c_t.imag], axis=0)), requires_grad=True),
+        b_mat=Tensor(_real(b.T), requires_grad=True),
+        c_mat=Tensor(np.ascontiguousarray(_real(np.conj(c)).T), requires_grad=True),
         d_vec=Tensor(rng.normal(0.0, 1.0, size=width), requires_grad=True),
         log_delta=Tensor(rng.uniform(np.log(1e-3), np.log(1e-1), size=state_dim), requires_grad=True),
     )
@@ -143,11 +144,12 @@ def hippo_n_init(
 def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
     """Zero-order hold: lam_bar = exp(delta*lam) and b_bar = ((lam_bar-1)/lam)*B.
 
-    Returns (lam_bar, b_real): lam_bar packed (2P,), and b_real (H, 2P), the
-    drive matrix of b_bar, which holds the columns
-    [Re b_bar^T | Im b_bar^T], so u @ b_real is the packed drive b_bar u.
-    Each is one graph node with an analytic VJP onto log_neg_re, im and
-    log_delta (and b_mat for b_real).
+    Returns (lam_bar, b_real): lam_bar (2P,), and b_real (H, 2P), the drive
+    matrix b_bar^T, each viewed as interleaved (Re, Im) pairs, so u @ b_real
+    is the drive b_bar u. Each is one graph node with an analytic VJP onto
+    log_neg_re, im and log_delta (and b_mat for b_real). b_real's VJP reads
+    b_mat through a view, not a copy: run backward before the optimizer
+    updates b_mat in place.
     """
     lam = params.lam_value()  # (P,) complex
     abs2 = lam.real * lam.real + lam.imag * lam.imag
@@ -157,7 +159,7 @@ def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
     bar = np.exp(lam * delta)
     # (lam_bar - 1) / lam, taken as (lam_bar - 1) * conj(lam) / |lam|^2
     coef = (bar - 1.0) * (np.conj(lam) * np.exp(-np.log(abs2)))
-    b_t = _unpack(params.b_mat.data)  # B^T, (H, P)
+    b_t = _complex(params.b_mat.data)  # B^T, (H, P), a view of b_mat
     lam_params = (params.log_neg_re, params.im, params.log_delta)
 
     def to_lam_params(g_lam: np.ndarray, g_delta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -165,38 +167,38 @@ def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
         return g_lam.real * lam.real, g_lam.imag, g_delta * delta
 
     def lam_bar_vjp(g):
-        gz = np.conj(bar) * _unpack(g)  # adjoint of delta * lam
+        gz = np.conj(bar) * _complex(g)  # adjoint of delta * lam
         return to_lam_params(delta * gz, (np.conj(lam) * gz).real)
 
     def b_real_vjp(g):
-        gb = _unpack(g)  # adjoint of b_bar^T, (H, P)
+        gb = _complex(g)  # adjoint of b_bar^T, (H, P)
         g_coef = (np.conj(b_t) * gb).sum(axis=0)
         # d coef / d lam = (delta * lam_bar - coef) / lam, d coef / d delta = lam_bar
         g_lam = np.conj((delta * bar - coef) / lam) * g_coef
-        return to_lam_params(g_lam, (np.conj(bar) * g_coef).real) + (_pack(np.conj(coef) * gb),)
+        return to_lam_params(g_lam, (np.conj(bar) * g_coef).real) + (_real(np.conj(coef) * gb),)
 
-    lam_bar = _make(_pack(bar), lam_params, lam_bar_vjp)
-    b_real = _make(_pack(b_t * coef), lam_params + (params.b_mat,), b_real_vjp)
+    lam_bar = _make(_real(bar), lam_params, lam_bar_vjp)
+    b_real = _make(_real(b_t * coef), lam_params + (params.b_mat,), b_real_vjp)
     return lam_bar, b_real
 
 
 def scan_sequential(
     params: S5Params,
     u: Tensor,
-    resets,
+    gates: np.ndarray,
     disc: tuple[Tensor, Tensor],
     x0: Tensor,
 ) -> tuple[Tensor, Tensor]:
-    """Recurrent scan. u: (B,T,H); resets: (B,T) bool.
+    """Recurrent scan. u: (B,T,H); gates: (B,T) float, 1 - resets.
 
-    Returns packed internal states x (B,T,2P), each row [Re x_t | Im x_t],
-    and outputs y_t = Re(C x_t) + D u_t (B,T,H), read out through c_mat. A
-    reset at step t zeroes the carried state before that step's update. The
-    scan starts from x0 (B,2P), packed alike: zeros for the start state.
-    disc is (lam_bar, b_real) = discretize(params), which the caller builds.
+    Returns internal states x (B,T,2P), each row the interleaved pairs
+    (Re x_t, Im x_t), and outputs y_t = Re(C x_t) + D u_t (B,T,H), read out
+    through c_mat. A gate of 0 (a reset) at step t zeroes the carried state
+    before that step's update. The scan starts from x0 (B,2P), laid out
+    alike: zeros for the start state. disc is (lam_bar, b_real) =
+    discretize(params), which the caller builds.
     """
     lam_bar, b_real = disc
-    gates = 1.0 - np.asarray(resets, dtype=np.float64)
     x = linear_recurrence(lam_bar, matmul(u, b_real), gates, x0)
     y = add(matmul(x, params.c_mat), mul(u, params.d_vec))
     return x, y
@@ -206,8 +208,8 @@ class S5Stack:
     """Stack of pre-norm S5 blocks, each with GELU and a residual connection.
 
     Block i is the SSM ssms[i] with the layer norm norms[i]. The per-step
-    deterministic state h_t is, per block, the realified internal state
-    [Re x_t | Im x_t] concatenated over blocks (width n_blocks * 2P).
+    deterministic state h_t is, per block, the internal state as interleaved
+    (Re x_t, Im x_t) pairs, concatenated over blocks (width n_blocks * 2P).
     """
 
     def __init__(self, rng, width: int, state_dim: int, n_blocks: int):
@@ -225,18 +227,18 @@ class S5Stack:
             out.update(norm.params(f"{prefix}.b{i}.norm"))
         return out
 
-    def _run(self, u: Tensor, resets: np.ndarray, discretized, x0: Tensor) -> tuple[Tensor, Tensor]:
-        """Every block over (B,T,H) inputs from the packed start state x0 (B, n_blocks*2P).
+    def _run(self, u: Tensor, gates: np.ndarray, discretized, x0: Tensor) -> tuple[Tensor, Tensor]:
+        """Every block over (B,T,H) inputs and (B,T) gates from the start state x0 (B, n_blocks*2P).
 
         Block i starts from its own slice of x0. Returns the last block's
-        outputs m and the packed states: per block [Re x_t | Im x_t],
-        concatenated over blocks into (B, T, n_blocks*2P).
+        outputs m and the states: per block the interleaved (Re x_t, Im x_t)
+        pairs, concatenated over blocks into (B, T, n_blocks*2P).
         """
         w = 2 * self.state_dim
         h_parts = []
         for i, (ssm, norm, disc) in enumerate(zip(self.ssms, self.norms, discretized)):
             x0_i = tslice(x0, (slice(None), slice(i * w, (i + 1) * w)))
-            x, y = scan_sequential(ssm, norm(u), resets, disc, x0_i)
+            x, y = scan_sequential(ssm, norm(u), gates, disc, x0_i)
             u = add(u, gelu(y))
             h_parts.append(x)
         return u, concat(h_parts, axis=2)
@@ -245,11 +247,11 @@ class S5Stack:
         """Full-sequence pass over u (B,T,H) and resets (B,T).
 
         Every block starts from the zero start state; resets inside the
-        window return a row to it. Returns (m, h): outputs and deterministic
-        states.
+        window return a row to it, through the gates 1 - resets, built once
+        for all blocks. Returns (m, h): outputs and deterministic states.
         """
         zero = Tensor(np.zeros((u.shape[0], len(self.ssms) * 2 * self.state_dim)))
-        return self._run(u, resets, self.discretized(), zero)
+        return self._run(u, 1.0 - np.asarray(resets, dtype=np.float64), self.discretized(), zero)
 
     def discretized(self) -> list[tuple[Tensor, Tensor]]:
         """The step context: per block (lam_bar, b_real) from discretize.
@@ -263,14 +265,13 @@ class S5Stack:
     def step(self, h_prev: Tensor, u: Tensor, discretized: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor]:
         """One online step: the sequence pass at T=1, resumed from h_prev.
 
-        h_prev: (B, n_blocks*2P) packs each block's [Re x | Im x], the layout
-        forward() returns; a zero h_prev is the start state, so a caller
-        resets a row by zeroing it. u: (B,H). The return is (m, h) with h in
-        the same packed layout. discretized is the step context,
+        h_prev: (B, n_blocks*2P) holds each block's interleaved (Re x, Im x)
+        pairs, the layout forward() returns; a zero h_prev is the start
+        state, so a caller resets a row by zeroing it. u: (B,H). The return
+        is (m, h) with h in the same layout. discretized is the step context,
         self.discretized(): per block (lam_bar, b_real), built once and
         reused over many steps.
         """
         bsz = u.shape[0]
-        no_resets = np.zeros((bsz, 1), dtype=bool)
-        m, h = self._run(reshape(u, (bsz, 1, self.width)), no_resets, discretized, h_prev)
+        m, h = self._run(reshape(u, (bsz, 1, self.width)), np.ones((bsz, 1)), discretized, h_prev)
         return reshape(m, (bsz, self.width)), reshape(h, (bsz, h_prev.shape[1]))

@@ -14,10 +14,12 @@ within 4.7e-4 of the exact x * Phi(x), and at training shapes it costs less
 than half as much, because numpy's tanh is far cheaper than scipy's
 elementwise error function; at batch 1 it costs more, because it makes
 twice the ufunc calls. Tensors hold real float64 arrays, so the whole engine
-is real-valued. Complex values have one layout: a trailing axis of width 2P
-packing [Re x | Im x] (P complex values per row), the layout of
-linear_recurrence's diagonal, drive, start state and states. The start state
-is always passed, as a value: zeros start a scan from rest.
+is real-valued. Complex values have one layout, numpy's own complex128
+memory: a trailing axis of width 2P holding P interleaved pairs
+(Re x_0, Im x_0, Re x_1, Im x_1, ...), the layout of linear_recurrence's
+diagonal, drive, start state and states. Converting in either direction is a
+view (`_complex`, `_real`), not a copy. The start state is always passed, as
+a value: zeros start a scan from rest.
 
 `_make(data, parents, vjp)` is the one way to add a fused node, here or in
 another module: the node's value is computed in numpy, and the VJP maps the
@@ -483,40 +485,36 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# complex values, packed [Re | Im] in a trailing axis of width 2P
+# complex values, as interleaved (Re, Im) pairs in a trailing axis of width 2P
 # ---------------------------------------------------------------------------
 
 
-def _unpack(x: np.ndarray) -> np.ndarray:
-    """Complex values of a packed (..., 2P) [Re | Im] array, as (..., P) complex128."""
-    p = x.shape[-1] // 2
-    z = np.empty(x.shape[:-1] + (p,), dtype=np.complex128)
-    z.real = x[..., :p]
-    z.imag = x[..., p:]
-    return z
+def _complex(x: np.ndarray) -> np.ndarray:
+    """(..., P) complex128 view of an interleaved (..., 2P) real array (a copy only if x is not contiguous)."""
+    return np.ascontiguousarray(x).view(np.complex128)
 
 
-def _pack(z: np.ndarray) -> np.ndarray:
-    """Packed (..., 2P) [Re | Im] array of (..., P) complex values."""
-    return np.concatenate([z.real, z.imag], axis=-1)
+def _real(z: np.ndarray) -> np.ndarray:
+    """(..., 2P) interleaved real view of a (..., P) complex array (a copy only if z is not contiguous)."""
+    return np.ascontiguousarray(z).view(np.float64)
 
 
 def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor) -> Tensor:
     """Gated diagonal complex recurrence x_t = gate_t * lam * x_{t-1} + drive_t.
 
-    lam: (2P,) packed [Re lam | Im lam]; drive: (B, T, 2P), each row packing
-    [Re drive_t | Im drive_t]; gates: (B, T) float 0/1 array (constant, 0
-    resets the state). Returns x: (B, T, 2P) in the same packed layout,
-    starting from the state x0: (B, 2P), packed alike (zeros for the start
-    state); a gate of 0 at t=0 drops x0. The whole scan is one graph
-    node with an analytically derived adjoint, which is exactly
-    backpropagation through time over the unrolled recurrence; x0's adjoint is
-    the accumulator carried past t=0, gate_0 * conj(lam) * acc_0. The loop
-    runs on complex values: a loop over the real halves was measured slower at
-    training shapes (2x at B=8, T=16).
+    lam: (2P,) and drive: (B, T, 2P), each a row of P interleaved
+    (Re, Im) pairs; gates: (B, T) float 0/1 array (constant, 0 resets the
+    state). Returns x: (B, T, 2P) in the same layout, a view of the complex
+    states, starting from the state x0: (B, 2P), laid out alike (zeros for
+    the start state); a gate of 0 at t=0 drops x0. The whole scan is one
+    graph node with an analytically derived adjoint, which is exactly
+    backpropagation through time over the unrolled recurrence; x0's adjoint
+    is the accumulator carried past t=0, gate_0 * conj(lam) * acc_0. The loop
+    runs on complex values: a loop over the real and imaginary parts was
+    measured slower at training shapes (2x at B=8, T=16).
     """
     if lam.data.ndim != 1 or lam.shape[0] % 2:
-        raise ShapeError(f"linear_recurrence: lam must be packed (2P,), got {lam.shape}")
+        raise ShapeError(f"linear_recurrence: lam must be (2P,) pairs, got {lam.shape}")
     P = lam.shape[0] // 2
     if drive.data.ndim != 3 or drive.shape[2] != 2 * P:
         raise ShapeError(f"linear_recurrence: drive must be (B,T,{2 * P}), got {drive.shape}")
@@ -525,17 +523,17 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
         raise ShapeError(f"linear_recurrence: gates must be {(B, T)}, got {gates.shape}")
     if x0.shape != (B, 2 * P):
         raise ShapeError(f"linear_recurrence: x0 must be {(B, 2 * P)}, got {x0.shape}")
-    lamc = _unpack(lam.data)  # (P,)
-    dc = _unpack(drive.data)  # (B, T, P)
+    lamc = _complex(lam.data)  # (P,)
+    dc = _complex(drive.data)  # (B, T, P)
     gt = gates[..., None]  # (B, T, 1)
     xs = np.empty((B, T, P), dtype=np.complex128)
-    x = x_init = _unpack(x0.data)
+    x = x_init = _complex(x0.data)
     for t in range(T):
         x = gt[:, t] * (lamc * x) + dc[:, t]
         xs[:, t] = x
 
     def vjp(g):
-        w = _unpack(g)  # adjoint of xs, (B, T, P)
+        w = _complex(g)  # adjoint of xs, (B, T, P)
         lam_conj = np.conj(lamc)
         gd = np.empty_like(xs)
         glam = np.zeros(P, dtype=np.complex128)
@@ -546,9 +544,9 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
             x_prev = xs[:, t - 1] if t > 0 else x_init
             glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
             acc = gt[:, t] * lam_conj * acc
-        return _pack(glam), _pack(gd), _pack(acc)
+        return _real(glam), _real(gd), _real(acc)
 
-    return _make(_pack(xs), (lam, drive, x0), vjp)
+    return _make(_real(xs), (lam, drive, x0), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class WmConfig:
 
     @property
     def h_width(self) -> int:
-        """Width of the deterministic state h_t: each block's packed [Re x | Im x]."""
+        """Width of the deterministic state h_t: each block's 2P interleaved (Re x, Im x) pairs."""
         return self.n_blocks * 2 * self.state_dim
 
 

@@ -1,6 +1,6 @@
 """The package's public surface: every tensor op and every definition has a caller, every script resolves,
 the benchmark finds every name it imports or traces and runs one operation of each listed workload, and
-trailing-axis reductions have one form."""
+trailing-axis reductions and complex layout conversions have one form each."""
 
 import ast
 import importlib
@@ -110,6 +110,29 @@ def test_trailing_axis_reductions_go_through_the_row_helpers():
     # and tensor._softmax's max do it as a product or on a class-major copy
     sites = [site for path in sorted(SRC.glob("*.py")) for site in _trailing_axis_reductions(path)]
     assert not sites, f"trailing-axis reductions outside tensor._row_sum/_softmax: {sites}"
+
+
+def _layout_conversions(path: Path) -> list[str]:
+    """`file:line` of each np.concatenate/np.stack that takes .real or .imag, and of each .view( outside tensor.py."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr in ("concatenate", "stack"):
+            operands = [sub for arg in node.args for sub in ast.walk(arg)]
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("real", "imag") for sub in operands):
+                lines.append(node.lineno)
+        elif node.func.attr == "view" and path.name != "tensor.py":
+            lines.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_complex_layout_converts_only_by_the_tensor_views():
+    # complex values are interleaved (Re, Im) pairs, numpy's complex128
+    # memory: tensor._complex and tensor._real convert by a view, never by
+    # splitting into halves and joining them again
+    sites = [site for path in sorted(SRC.glob("*.py")) for site in _layout_conversions(path)]
+    assert not sites, f"complex layout conversions outside tensor._complex/_real: {sites}"
 
 
 def test_project_scripts_resolve_to_callables():

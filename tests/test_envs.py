@@ -144,7 +144,8 @@ def test_gridworld_room_indicator_channel():
 
 
 def test_linear_identity_dynamics_constant_state():
-    env = LinearSystemEnv(dim=3, noise_std=0.0, seed=8, m_mat=np.eye(3), n_mat=np.zeros((3, 4)))
+    env = LinearSystemEnv(dim=3, noise_std=0.0, seed=8)
+    env.m_mat, env.n_mat = np.eye(3), np.zeros((3, 4))
     obs0 = env.reset()
     for _ in range(10):
         step = env.step(2)

@@ -121,7 +121,7 @@ def test_process_flattening_and_tau_monotonicity():
     n, reps = 1000, 60
     stats_by_tau = {}
     for tau in (0.0, 0.3, 1.0):
-        counts = simulate_process(n, "etbs" if tau else "uniform", tau, reps, seed=11).sum(axis=0)
+        counts = simulate_process(n, "etbs", tau, reps, seed=11).sum(axis=0)
         cv = counts.std() / counts.mean()
         d = n // 10
         stats_by_tau[tau] = (cv, counts[:d].mean() / counts[-d:].mean())
@@ -143,7 +143,7 @@ def test_baseline_uniform_when_counts_equal():
 
 def test_baseline_flattens_process_counts():
     n, reps = 400, 30
-    uni = simulate_process(n, "uniform", 0.0, reps, seed=21).sum(axis=0)
+    uni = simulate_process(n, "etbs", 0.0, reps, seed=21).sum(axis=0)
     bal = simulate_process(n, "tb_baseline", 0.0, reps, seed=21).sum(axis=0)
     assert bal.std() / bal.mean() < uni.std() / uni.mean()
 

@@ -28,9 +28,8 @@ def fresh_params(seed=0, p=4, j=1, h=3):
 
 
 def unpack(x: np.ndarray) -> np.ndarray:
-    """Complex values of a packed (..., 2P) [Re x | Im x] array."""
-    p = x.shape[-1] // 2
-    return x[..., :p] + 1j * x[..., p:]
+    """Complex values of a (..., 2P) array of interleaved (Re x, Im x) pairs."""
+    return np.ascontiguousarray(x).view(np.complex128)
 
 
 def no_resets(t_len: int) -> np.ndarray:
@@ -40,7 +39,7 @@ def no_resets(t_len: int) -> np.ndarray:
 def scan_from_zero(params: s5.S5Params, u: Tensor, resets):
     """scan_sequential from the zero start state, with the zero-order hold built in the call."""
     zero = Tensor(np.zeros((u.shape[0], 2 * params.log_neg_re.shape[0])))
-    return s5.scan_sequential(params, u, resets, s5.discretize(params), zero)
+    return s5.scan_sequential(params, u, 1.0 - resets, s5.discretize(params), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def test_log_delta_range():
 
 def test_packed_maps_hold_the_init_draws():
     # B = V^H G_b and C = G_c V per block, drawn in the order b, c, b, c;
-    # b_mat packs B^T and c_mat is C-contiguous with x @ c_mat = Re(C x)
+    # b_mat is B^T viewed as floats and c_mat is C-contiguous with x @ c_mat = Re(C x)
     p, j, h = 8, 2, 5
     params = s5.hippo_n_init(p, j, h, make_rng(3))
     rng, n = make_rng(3), p // j
@@ -129,8 +128,8 @@ def test_discretize_half_life():
     params.im.data[:] = 0.0
     params.log_delta.data[:] = np.log(np.log(2.0))
     lam_bar, _ = s5.discretize(params)
-    np.testing.assert_allclose(lam_bar.data[:4], 0.5, atol=1e-12)
-    np.testing.assert_allclose(lam_bar.data[4:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(unpack(lam_bar.data).real, 0.5, atol=1e-12)
+    np.testing.assert_allclose(unpack(lam_bar.data).imag, 0.0, atol=1e-12)
 
 
 def test_discretize_euler_identity():
@@ -179,7 +178,7 @@ def test_zoh_gradients_match_finite_differences():
         params = zoh_params(seed)
         p = params.log_neg_re.shape[0]
         rng = make_rng(7000 + seed)
-        minus_one = Tensor(np.concatenate([-np.ones(p), np.zeros(p)]))
+        minus_one = Tensor(np.tile([-1.0, 0.0], p))
         w_lam = Tensor(rng.normal(size=2 * p))
         w_b = Tensor(rng.normal(size=params.b_mat.shape))
 
@@ -255,10 +254,10 @@ def test_zoh_matches_composed_pair_reference():
         ref_lam_bar, b_bar = zoh_pair_reference(params, b_pair)
         w_lam_pair, w_b_pair = _pair(unpack(w_lam)), _pair(unpack(w_b).T)
         add(tsum(mul(ref_lam_bar, Tensor(w_lam_pair))), tsum(mul(b_bar, Tensor(w_b_pair)))).backward()
-        ref_grads = [leaf.grad for leaf in rate] + [T._pack(_cview(b_pair.grad).T)]
+        ref_grads = [leaf.grad for leaf in rate] + [T._real(_cview(b_pair.grad).T)]
 
-        np.testing.assert_allclose(lam_bar.data, T._pack(_cview(ref_lam_bar.data)), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(b_real.data, T._pack(_cview(b_bar.data).T), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lam_bar.data, T._real(_cview(ref_lam_bar.data)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(b_real.data, T._real(_cview(b_bar.data).T), rtol=0, atol=1e-15)
         for g, ref in zip(grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -346,7 +345,9 @@ def test_scan_resumes_from_carried_state():
     resets[0, 8] = True  # inside the continuation
     x, y = scan_from_zero(params, Tensor(u), resets)
     xa, ya = scan_from_zero(params, Tensor(u[:, :5]), resets[:, :5])
-    xb, yb = s5.scan_sequential(params, Tensor(u[:, 5:]), resets[:, 5:], s5.discretize(params), Tensor(xa.data[:, -1]))
+    xb, yb = s5.scan_sequential(
+        params, Tensor(u[:, 5:]), 1.0 - resets[:, 5:], s5.discretize(params), Tensor(xa.data[:, -1])
+    )
     np.testing.assert_allclose(np.concatenate([xa.data, xb.data], axis=1), x.data, atol=1e-12)
     np.testing.assert_allclose(np.concatenate([ya.data, yb.data], axis=1), y.data, atol=1e-12)
 
@@ -355,10 +356,10 @@ def test_reset_at_continuation_start_drops_carried_state():
     rng = make_rng(25)
     params = fresh_params(seed=11)
     u = rng.normal(size=(2, 6, 3))
-    x0 = Tensor(rng.normal(size=(2, 8)))  # packed [Re x | Im x], P=4
+    x0 = Tensor(rng.normal(size=(2, 8)))  # P=4 interleaved (Re x, Im x) pairs
     resets = np.zeros((2, 6), dtype=bool)
     resets[0, 0] = True
-    x, y = s5.scan_sequential(params, Tensor(u), resets, s5.discretize(params), x0)
+    x, y = s5.scan_sequential(params, Tensor(u), 1.0 - resets, s5.discretize(params), x0)
     x_fresh, y_fresh = scan_from_zero(params, Tensor(u), np.zeros((2, 6), dtype=bool))
     np.testing.assert_array_equal(x.data[0], x_fresh.data[0])
     np.testing.assert_array_equal(y.data[0], y_fresh.data[0])
@@ -430,7 +431,7 @@ def test_stack_h_width():
     stack = make_stack(width=4, p=4, n_blocks=2)
     u = make_rng(41).normal(size=(1, 5, 4))
     _, h = stack.forward(Tensor(u), no_resets(5))
-    assert h.shape == (1, 5, 2 * 2 * 4)  # n_blocks * 2P: each block's [Re x | Im x]
+    assert h.shape == (1, 5, 2 * 2 * 4)  # n_blocks * 2P: each block's (Re x, Im x) pairs
 
 
 def test_stack_step_matches_sequence():
@@ -448,6 +449,36 @@ def test_stack_step_matches_sequence():
         m, h = stack.step(h, Tensor(u[:, t]), disc)
         np.testing.assert_allclose(m.data, m_seq.data[:, t], atol=1e-10)
         np.testing.assert_allclose(h.data, h_seq.data[:, t], atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["forward", "step"])
+def test_two_block_stack_gradients_match_finite_differences(mode):
+    # block 1's states reach linear_recurrence's VJP through concat's split
+    # and tslice, so its gradients arrive as non-contiguous pieces
+    stack = make_stack(seed=12, width=4, p=4, n_blocks=2)
+    rng = make_rng(32)
+    leaves = dict(stack.params())
+    if mode == "forward":
+        u = leaves["u"] = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+        resets = np.zeros((2, 6), dtype=bool)
+        resets[0, 3] = resets[1, 0] = True
+
+        def run():
+            return stack.forward(u, resets)
+
+    else:
+        u = leaves["u"] = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        h_prev = leaves["h_prev"] = Tensor(rng.normal(size=(2, 2 * 2 * 4)), requires_grad=True)
+
+        def run():
+            return stack.step(h_prev, u, stack.discretized())
+
+    def fn():
+        m, h = run()
+        return add(tsum(mul(m, m)), tsum(mul(h, h)))
+
+    report = grad_check(fn, leaves, epsilon=1e-5)
+    assert report.max_rel_err < 1e-5, report.per_leaf
 
 
 def test_stack_step_tensor_count(monkeypatch):

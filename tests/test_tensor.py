@@ -252,8 +252,8 @@ def test_linear_recurrence_gradients():
     worst = 0.0
     for seed in range(30):
         rng = make_rng(3000 + seed)
-        lam = Tensor(rng.uniform(-0.9, 0.9, size=6), requires_grad=True)  # packed [Re | Im]
-        drive = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)), requires_grad=True)  # packed [Re | Im]
+        lam = Tensor(rng.uniform(-0.9, 0.9, size=6), requires_grad=True)  # (Re, Im) pairs
+        drive = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)), requires_grad=True)  # (Re, Im) pairs
         gates = (rng.random((2, 5)) > 0.3).astype(float)
         leaves = {"lam": lam, "drive": drive}
         x0 = Tensor(np.zeros((2, 6)))  # even seeds start from the zero start state
@@ -267,6 +267,18 @@ def test_linear_recurrence_gradients():
         report = grad_check(fn, leaves, epsilon=1e-5)
         worst = max(worst, report.max_rel_err)
     assert worst < 1e-5, f"linear_recurrence rel err {worst}"
+
+
+def test_complex_layout_converts_by_views():
+    # interleaved (Re, Im) pairs are numpy's complex128 memory: a contiguous
+    # array converts both ways without a copy; a non-contiguous one is copied
+    z = make_rng(40).normal(size=(3, 4, 2)) @ np.array([1.0, 1j])
+    x = T._real(z)
+    np.testing.assert_array_equal(x[..., 0::2], z.real)
+    np.testing.assert_array_equal(x[..., 1::2], z.imag)
+    assert np.shares_memory(T._complex(x), z)
+    np.testing.assert_array_equal(T._complex(x), z)
+    np.testing.assert_array_equal(T._complex(np.asfortranarray(x)), z)
 
 
 # ---------------------------------------------------------------------------
