@@ -1,7 +1,12 @@
 """Small neural-net building blocks (linear layers, MLPs, layer norm, AdamW).
 
 Parameters are plain Tensors collected into flat name->Tensor dicts so the
-optimizer never needs to know the module structure.
+optimizer never needs to know the module structure. An optimizer takes its
+parameters' storage over at construction: each `Tensor.data` becomes a view
+of one flat float64 vector, so an update is a few whole-vector calls rather
+than a dozen per parameter. Parameters are therefore loaded by writing into
+`p.data` in place, never by rebinding it, and one optimizer owns a given set
+of parameters.
 """
 
 from __future__ import annotations
@@ -69,9 +74,23 @@ class AdamW:
 
     Betas, eps and the clip bound are the fixed constants BETA1, BETA2,
     ADAM_EPS and CLIP_NORM; lr defaults to DreamerV3's world-model rate.
-    A step whose gradient norm is not finite is skipped whole: parameters,
-    moments and the step count t stay as they were, the grads are cleared,
-    and the skip is counted in `skipped`.
+
+    Storage is flat. Construction copies the parameters into one contiguous
+    float64 vector and rebinds each `p.data` to a reshaped view of it. The
+    first step allocates the state as four more flat vectors: the two
+    moments (viewed per name in `_m` and `_v`), the gathered gradient and one
+    scratch vector. The state is kept from step to step, because vectors of
+    this size come from fresh mmap'd pages that would fault in on every step;
+    it is allocated late, so an optimizer that never steps (an agent that
+    only acts) holds none. A step applies the update as whole-vector ufunc
+    calls in textbook Adam's per-element expression order, so only the norm's
+    summation order depends on the layout.
+
+    Every parameter must have a grad at each step; a missing one raises
+    ValueError naming it, before any state changes. A step whose gradient
+    norm is not finite is skipped whole: parameters, moments and the step
+    count t stay as they were, the grads are cleared, and the skip is counted
+    in `skipped`.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
@@ -79,36 +98,58 @@ class AdamW:
         self.lr = lr
         self.t = 0
         self.skipped = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._flat = np.concatenate([p.data for p in params.values()], axis=None)
+        for p, view in zip(params.values(), self._views(self._flat)):
+            p.data = view
+        self._m_flat = self._v_flat = self._grad = self._scratch = None
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-parameter views of a flat vector, in the order of `params`."""
+        views, start = [], 0
+        for p in self.params.values():
+            end = start + p.data.size
+            views.append(flat[start:end].reshape(p.shape))
+            start = end
+        return views
 
     def step(self) -> float:
         """Apply one update from accumulated grads; returns the raw grad norm."""
-        sq = 0.0
+        missing = [k for k, p in self.params.items() if p.grad is None]
+        if missing:
+            raise ValueError(f"AdamW.step: no gradient for {', '.join(missing)}")
+        if self._grad is None:
+            self._m_flat, self._v_flat, self._grad, self._scratch = np.zeros((4, self._flat.size))
+            self._m = dict(zip(self.params, self._views(self._m_flat)))
+            self._v = dict(zip(self.params, self._views(self._v_flat)))
+        g, s = self._grad, self._scratch
+        np.concatenate([p.grad for p in self.params.values()], axis=None, out=g)
         for p in self.params.values():
-            if p.grad is not None:
-                sq += float((p.grad * p.grad).sum())
-        norm = float(np.sqrt(sq))
+            p.grad = None
+        norm = float(np.sqrt(g @ g))
         if not np.isfinite(norm):
-            for p in self.params.values():
-                p.grad = None
             self.skipped += 1
             return norm
         self.t += 1
-        scale = CLIP_NORM / (norm + 1e-12) if norm > CLIP_NORM else 1.0
+        if norm > CLIP_NORM:
+            g *= CLIP_NORM / (norm + 1e-12)
         b1c = 1.0 - BETA1**self.t
         b2c = 1.0 - BETA2**self.t
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad * scale
-            m = self._m[k]
-            v = self._v[k]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-            p.data -= self.lr * update
-            p.grad = None
+        m, v = self._m_flat, self._v_flat
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s)
+        m += s
+        v *= BETA2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - BETA2
+        v += s
+        # update = (m / b1c) / (sqrt(v / b2c) + eps), built in g
+        np.divide(v, b2c, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(m, b1c, out=g)
+        g /= s
+        g *= self.lr
+        self._flat -= g
         return norm

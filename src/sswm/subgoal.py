@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dists
 from .nn import MLP
-from .tensor import Tensor, add, l2_norm, mul, neg, no_grad, reshape, softmax, tmean, tsum
+from .tensor import Tensor, add, l2_norm, log, mul, neg, no_grad, reshape, softmax, tmean, tsum
 
 KL_BETA = 0.5  # weight of the KL pull toward the uniform code prior; set here, not tuned
 
@@ -62,12 +62,17 @@ class SubgoalAutoencoder:
         return self.decoder(reshape(codes, (codes.shape[0], self.cfg.flat)))
 
     def loss(self, h: Tensor, rng: np.random.Generator) -> tuple[Tensor, dict]:
-        """L2 reconstruction of h (a constant target) from one sampled code + KL_BETA * KL(codes || uniform)."""
+        """L2 reconstruction of h (a constant target) from one sampled code + KL_BETA * KL(codes || uniform).
+
+        The KL to the uniform prior over K classes is taken as sum p * log(K * p):
+        near-uniform codes make each log(K * p) small, where log p - log(1/K)
+        would sum terms of order log K into a total many orders smaller.
+        """
         probs, code = self.encode(h, rng)
         resid = add(self.decode(code), neg(h.detach()))
         recon_term = tmean(l2_norm(resid))
-        uniform = Tensor(np.full(self.cfg.code_size, 1.0 / self.cfg.code_size))
-        kl_term = tmean(tsum(dists.kl_categorical(probs, uniform), axis=-1))
+        scaled = mul(probs, Tensor(float(self.cfg.code_size)))
+        kl_term = tmean(tsum(tsum(mul(probs, log(scaled)), axis=-1), axis=-1))
         total = add(recon_term, mul(kl_term, Tensor(KL_BETA)))
         return total, {"recon": recon_term.item(), "kl": kl_term.item(), "total": total.item()}
 

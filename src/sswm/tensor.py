@@ -403,7 +403,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: x (N, n_in), w (n_in, n_out), b (n_out,)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"affine: widths differ, {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def vjp(g):
         gx = g @ w.data.T if x.requires_grad else None
@@ -508,10 +509,17 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
     states, starting from the state x0: (B, 2P), laid out alike (zeros for
     the start state); a gate of 0 at t=0 drops x0. The whole scan is one
     graph node with an analytically derived adjoint, which is exactly
-    backpropagation through time over the unrolled recurrence; x0's adjoint
-    is the accumulator carried past t=0, gate_0 * conj(lam) * acc_0. The loop
-    runs on complex values: a loop over the real and imaginary parts was
-    measured slower at training shapes (2x at B=8, T=16).
+    backpropagation through time over the unrolled recurrence.
+
+    The per-step decays gate_t * lam are built once per call, (B, T, P),
+    exact because a gate is 0 or 1, and both loops index them. The forward
+    loop writes each state in place. The adjoint's loop carries only the
+    accumulator acc_t = w_t + conj(decay_{t+1}) * acc_{t+1}, which is the
+    drive's adjoint; lam's adjoint is one reduction after the loop, the sum
+    over all B * T rows of gate_t * conj(x_{t-1}) * acc_t, and x0's is the
+    accumulator carried past t=0, conj(decay_0) * acc_0. The loops run on
+    complex values: a loop over the real and imaginary parts was measured
+    slower at training shapes (2x at B=8, T=16).
     """
     if lam.data.ndim != 1 or lam.shape[0] % 2:
         raise ShapeError(f"linear_recurrence: lam must be (2P,) pairs, got {lam.shape}")
@@ -523,27 +531,25 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
         raise ShapeError(f"linear_recurrence: gates must be {(B, T)}, got {gates.shape}")
     if x0.shape != (B, 2 * P):
         raise ShapeError(f"linear_recurrence: x0 must be {(B, 2 * P)}, got {x0.shape}")
-    lamc = _complex(lam.data)  # (P,)
     dc = _complex(drive.data)  # (B, T, P)
-    gt = gates[..., None]  # (B, T, 1)
+    decay = gates[..., None] * _complex(lam.data)  # (B, T, P)
     xs = np.empty((B, T, P), dtype=np.complex128)
     x = x_init = _complex(x0.data)
     for t in range(T):
-        x = gt[:, t] * (lamc * x) + dc[:, t]
-        xs[:, t] = x
+        x = np.multiply(decay[:, t], x, out=xs[:, t])
+        x += dc[:, t]
 
     def vjp(g):
         w = _complex(g)  # adjoint of xs, (B, T, P)
-        lam_conj = np.conj(lamc)
+        decay_conj = np.conj(decay)
         gd = np.empty_like(xs)
-        glam = np.zeros(P, dtype=np.complex128)
         acc = np.zeros((B, P), dtype=np.complex128)
         for t in range(T - 1, -1, -1):
-            acc = w[:, t] + acc
-            gd[:, t] = acc
-            x_prev = xs[:, t - 1] if t > 0 else x_init
-            glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
-            acc = gt[:, t] * lam_conj * acc
+            acc = np.add(w[:, t], acc, out=gd[:, t])
+            acc = decay_conj[:, t] * acc
+        x_prev = np.concatenate((x_init[:, None], xs[:, :-1]), axis=1)
+        terms = np.conj(x_prev) * gd * gates[..., None]
+        glam = terms.reshape(B * T, P).sum(axis=0)
         return _real(glam), _real(gd), _real(acc)
 
     return _make(_real(xs), (lam, drive, x0), vjp)

@@ -1,9 +1,12 @@
-"""Optimizer tests: AdamW is bias-corrected Adam on clipped gradients, and skips non-finite ones."""
+"""Optimizer tests: AdamW is bias-corrected Adam on clipped gradients over flat storage, and skips non-finite ones."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, AdamW
+from sswm.s5 import S5Params, S5Stack, discretize
 from sswm.tensor import Tensor, make_rng
 
 
@@ -56,6 +59,93 @@ def test_adamw_skips_non_finite_gradient():
         np.testing.assert_array_equal(a, b)
     assert all(p.grad is None for p in params.values())
 
+    params["w"].grad = rng.normal(size=(3, 4))
     params["b"].grad = rng.normal(size=4)
     opt.step()
     assert opt.t == t + 1 and opt.skipped == 1
+
+
+def _per_parameter_step(data, m, v, grads, t, lr):
+    """One Adam step as a loop over parameters, each in its own arrays: the reference for the flat update."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    scale = CLIP_NORM / (norm + 1e-12) if norm > CLIP_NORM else 1.0
+    for k, grad in grads.items():
+        g = grad * scale
+        m[k] *= BETA1
+        m[k] += (1.0 - BETA1) * g
+        v[k] *= BETA2
+        v[k] += (1.0 - BETA2) * (g * g)
+        data[k] -= lr * ((m[k] / (1.0 - BETA1**t)) / (np.sqrt(v[k] / (1.0 - BETA2**t)) + ADAM_EPS))
+    return norm
+
+
+def test_adamw_flat_update_equals_per_parameter_loop():
+    # the flat update keeps the per-element expression order, so unclipped
+    # steps match the loop bit for bit; a clipped step's scale comes from a
+    # norm summed in another order, and may differ by an ulp (the first step
+    # clips, so no moment cancels and a bound relative to each array holds)
+    rng, lr = make_rng(52), 1e-2
+    shapes = {"w": (5, 3), "b": (3,), "s": (), "c": (2, 4, 2)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    data = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = AdamW(params, lr=lr)
+    for t in range(1, 7):
+        clipped = t == 1
+        grads = {k: (300.0 if clipped else 1.0) * rng.normal(size=s) for k, s in shapes.items()}
+        for k, p in params.items():
+            p.grad = grads[k].copy()
+        norm = _per_parameter_step(data, m, v, grads, t, lr)
+        assert (norm > CLIP_NORM) == clipped
+        assert opt.step() == pytest.approx(norm, rel=1e-15)
+        for k in shapes:
+            for got, want in ((params[k].data, data[k]), (opt._m[k], m[k]), (opt._v[k], v[k])):
+                if clipped:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
+                    want[...] = got  # carry on from the same state
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+
+def test_adamw_parameters_and_moments_are_views_of_flat_buffers():
+    stack = S5Stack(make_rng(53), width=4, state_dim=4, n_blocks=2)
+    params = stack.params()
+    opt = AdamW(params)
+    assert all(np.shares_memory(p.data, opt._flat) for p in params.values())
+    # an optimizer that never steps holds no state
+    assert opt._m_flat is None and opt._grad is None and not opt._m and not opt._v
+
+    # a step is seen through the model: discretize reads the updated b_mat
+    ssm = stack.ssms[0]
+    before = discretize(ssm)[1].data.copy()
+    rng = make_rng(54)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    for k, p in params.items():
+        assert np.shares_memory(p.data, opt._flat), k
+        assert np.shares_memory(opt._m[k], opt._m_flat) and np.shares_memory(opt._v[k], opt._v_flat), k
+    after = discretize(ssm)[1].data
+    fresh = S5Params(**{f.name: Tensor(getattr(ssm, f.name).data.copy()) for f in dataclasses.fields(ssm)})
+    np.testing.assert_array_equal(after, discretize(fresh)[1].data)
+    assert not np.array_equal(after, before)
+
+
+def test_adamw_missing_gradient_raises_before_any_change():
+    rng = make_rng(55)
+    params = {"w": Tensor(rng.normal(size=(3, 4)), requires_grad=True), "b": Tensor(rng.normal(size=4), requires_grad=True)}
+    opt = AdamW(params, lr=1e-2)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step()  # one step, so the moments are nonzero
+    before = [a.copy() for k in params for a in (params[k].data, opt._m[k], opt._v[k])]
+    w_grad = rng.normal(size=(3, 4))
+    params["w"].grad, w_values = w_grad, w_grad.copy()
+    with pytest.raises(ValueError, match=r"no gradient for b$"):
+        opt.step()
+    assert opt.t == 1 and opt.skipped == 0
+    for a, b in zip((a for k in params for a in (params[k].data, opt._m[k], opt._v[k])), before):
+        np.testing.assert_array_equal(a, b)
+    assert params["w"].grad is w_grad and params["b"].grad is None
+    np.testing.assert_array_equal(w_grad, w_values)

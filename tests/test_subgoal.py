@@ -75,6 +75,23 @@ def test_uniform_logits_zero_kl():
     assert parts["kl"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_near_uniform_kl_matches_extended_precision():
+    # near-uniform codes (total KL of a few 1e-3 nats): the loss's KL must not
+    # lose digits to terms of order ln 8 cancelling, as log p - log(1/8) did
+    # (up to 6e-13 relative here)
+    worst = 0.0
+    for seed in range(20):
+        ae = make_ae(seed=seed, h_width=16, n_codes=8, code_size=8, units=32)
+        ae.encoder.layers[-1].w.data *= 0.05
+        h = Tensor(make_rng(1000 + seed).normal(size=(16, 16)))
+        probs, _ = ae.encode(h, make_rng(0))
+        p = probs.data.astype(np.longdouble)
+        want = (p * (np.log(p) + np.log(np.longdouble(8)))).sum(axis=(1, 2)).mean()
+        got = ae.loss(h, make_rng(0))[1]["kl"]
+        worst = max(worst, float(abs(got - want) / want))
+    assert worst < 2e-14, f"kl rel err {worst}"
+
+
 def concentrated_ae(seed=11, k=8):
     """Encoder pinned to one code per categorical via a huge bias."""
     ae = make_ae(seed=seed, h_width=6, n_codes=2, code_size=k, units=8)

@@ -269,6 +269,51 @@ def test_linear_recurrence_gradients():
     assert worst < 1e-5, f"linear_recurrence rel err {worst}"
 
 
+def _recurrence_reference(lam, drive, gates, x0, g):
+    """States and (lam, drive, x0) adjoints of the gated recurrence, one step at a time, all on complex values.
+
+    The adjoint accumulates lam's gradient inside the loop, step by step.
+    """
+    lamc, dc, w, x = lam.view(complex), drive.view(complex), g.view(complex), x0.view(complex)
+    B, T, P = dc.shape
+    gt = gates[..., None]
+    xs = np.empty((B, T, P), dtype=complex)
+    for t in range(T):
+        x = gt[:, t] * (lamc * x) + dc[:, t]
+        xs[:, t] = x
+    gd = np.empty_like(xs)
+    glam = np.zeros(P, dtype=complex)
+    acc = np.zeros((B, P), dtype=complex)
+    for t in range(T - 1, -1, -1):
+        acc = w[:, t] + acc
+        gd[:, t] = acc
+        x_prev = xs[:, t - 1] if t > 0 else x0.view(complex)
+        glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
+        acc = gt[:, t] * np.conj(lamc) * acc
+    return (a.view(np.float64) for a in (xs, glam, gd, acc))
+
+
+def test_linear_recurrence_matches_per_step_reference():
+    # B=3, T=16: row 0 resets at t=0 (x0 dropped), row 1 mid-window, row 2 at both
+    rng = make_rng(41)
+    p = 4
+    lam = Tensor((0.95 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=p))).view(np.float64), requires_grad=True)
+    drive = Tensor(rng.normal(size=(3, 16, 2 * p)), requires_grad=True)
+    x0 = Tensor(rng.normal(size=(3, 2 * p)), requires_grad=True)
+    gates = np.ones((3, 16))
+    gates[0, 0] = gates[1, 7] = gates[2, 0] = gates[2, 11] = 0.0
+    g = rng.normal(size=(3, 16, 2 * p))
+    x = T.linear_recurrence(lam, drive, gates, x0)
+    T.tsum(T.mul(x, Tensor(g))).backward()  # the VJP of x at g
+
+    xs, glam, gdrive, gx0 = _recurrence_reference(lam.data, drive.data, gates, x0.data, g)
+    np.testing.assert_array_equal(x.data, xs)
+    for name, got, want in (("lam", lam.grad, glam), ("drive", drive.grad, gdrive), ("x0", x0.grad, gx0)):
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel < 1e-13, f"{name} adjoint rel err {rel}"
+    np.testing.assert_array_equal(x0.grad[[0, 2]], 0.0)  # a reset at t=0 drops x0
+
+
 def test_complex_layout_converts_by_views():
     # interleaved (Re, Im) pairs are numpy's complex128 memory: a contiguous
     # array converts both ways without a copy; a non-contiguous one is copied
