@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import dists
-from .nn import MLP, AdamW
+from .nn import MLP, AdamW, parameters
 from .replay import ExperienceDataset
 from .subgoal import SubgoalAutoencoder, SubgoalConfig
 from .tensor import Tensor, _row_sum, add, concat, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tslice, tsum
@@ -93,12 +93,6 @@ class ActorCritic:
         self.mix = mix
         self.policy = MLP(rng, [cfg.feat_width, cfg.mlp_units, cfg.action_groups * cfg.action_classes])
         self.heads = {s: MLP(rng, [cfg.feat_width, cfg.mlp_units, 1]) for s in mix}
-
-    def params(self, prefix: str = "ac") -> dict[str, Tensor]:
-        out = self.policy.params(f"{prefix}.policy")
-        for s, head in self.heads.items():
-            out.update(head.params(f"{prefix}.v_{s}"))
-        return out
 
     def policy_probs(self, feats: Tensor) -> Tensor:
         n = feats.shape[0]
@@ -177,9 +171,9 @@ class Subactor:
         self.ae = SubgoalAutoencoder(rng, sg_cfg)
         self.ac = ActorCritic(rng, ac_cfg, mix)
         self.replay = ExperienceDataset(wm_cfg.obs_dim, wm_cfg.action_dim)
-        self.wm_opt = AdamW(self.wm.params())
-        self.ae_opt = AdamW(self.ae.params())
-        self.ac_opt = AdamW(self.ac.params())
+        self.wm_opt = AdamW(parameters(self.wm, "wm"))
+        self.ae_opt = AdamW(parameters(self.ae, "ae"))
+        self.ac_opt = AdamW(parameters(self.ac, "ac"))
         # online state, from the all-zero start state
         self.h = np.zeros((1, self.wm.h_width))
         self.z = np.zeros((1, wm_cfg.n_cats, wm_cfg.n_classes))

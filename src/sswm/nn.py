@@ -1,15 +1,19 @@
 """Small neural-net building blocks (linear layers, MLPs, layer norm, AdamW).
 
-Parameters are plain Tensors collected into flat name->Tensor dicts so the
-optimizer never needs to know the module structure. An optimizer takes its
-parameters' storage over at construction: each `Tensor.data` becomes a view
-of one flat float64 vector, so an update is a few whole-vector calls rather
-than a dozen per parameter. Parameters are therefore loaded by writing into
-`p.data` in place, never by rebinding it, and one optimizer owns a given set
-of parameters.
+Parameters are plain Tensors held as module attributes. `parameters` finds
+them by walking a module's attributes and names each by its attribute path
+(`wm.encoder.layers.0.w`), so a module lists its parameters once, in its
+`__init__`, and the optimizer never needs to know its structure. An
+optimizer takes its parameters' storage over at construction: each
+`Tensor.data` becomes a view of one flat float64 vector, so an update is a
+few whole-vector calls rather than a dozen per parameter. Parameters are
+therefore loaded by writing into `p.data` in place, never by rebinding it,
+and one optimizer owns a given set of parameters.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -18,6 +22,38 @@ from .tensor import Tensor, affine, gelu, layer_norm
 LN_EPS = 1e-6  # LayerNorm's variance floor, flax.linen.LayerNorm's default
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, arXiv 1412.6980)
 CLIP_NORM = 100.0  # global gradient-norm bound, DreamerV3's actor-critic clip (arXiv 2301.04104)
+
+
+def parameters(module, prefix: str) -> dict[str, Tensor]:
+    """Every Tensor with requires_grad reachable through module's attributes, by attribute path.
+
+    The walk goes through lists by index, objects by vars() and other
+    Mappings by key, in insertion order, so a Tensor at
+    module.stack.ssms[1].im is named f"{prefix}.stack.ssms.1.im". Anything
+    else (numbers, ndarrays, a Tensor without requires_grad) holds no
+    parameter. There is no cycle or sharing check: each parameter is reached
+    by one path.
+    """
+    out: dict[str, Tensor] = {}
+
+    def walk(obj, path: str) -> None:
+        if isinstance(obj, Tensor):
+            if obj.requires_grad:
+                out[path] = obj
+            return
+        if isinstance(obj, list):
+            items = enumerate(obj)
+        elif hasattr(obj, "__dict__"):  # before the Mapping test, an ABC check that costs more
+            items = vars(obj).items()
+        elif isinstance(obj, Mapping):
+            items = obj.items()
+        else:
+            return
+        for key, value in items:
+            walk(value, f"{path}.{key}")
+
+    walk(module, prefix)
+    return out
 
 
 class Linear:
@@ -30,9 +66,6 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.w, self.b)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
 class MLP:
@@ -48,12 +81,6 @@ class MLP:
             x = gelu(layer(x))
         return self.layers[-1](x)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.params(f"{prefix}.l{i}"))
-        return out
-
 
 class LayerNorm:
     """Normalization over the trailing axis with learned scale and shift, one tensor.layer_norm node."""
@@ -64,9 +91,6 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.scale, self.shift, LN_EPS)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.scale": self.scale, f"{prefix}.shift": self.shift}
 
 
 class AdamW:

@@ -71,8 +71,7 @@ def etbs_cdf(x, n):
         raise DomainError(f"etbs_cdf argument outside [2, {n}]")
     ln_n = np.log(float(n))
     num = x * (np.log(x) - ln_n - 1.0) + 2.0 * (ln_n - np.log(2.0) + 1.0)
-    den = 2.0 * ln_n - n - 2.0 * np.log(2.0) + 2.0
-    return np.clip(num / den, 0.0, 1.0)
+    return np.clip(num / -_log_density_norm(n), 0.0, 1.0)
 
 
 def etbs_indices(n: int, tau: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -142,8 +141,11 @@ class ExperienceDataset:
 
     Each record holds the observation o_t, the action that led into it
     (zeros at an episode start), the reward received on arrival, the continue
-    flag (0 when o_t is terminal) and an episode id. Records are immutable
-    once appended; sampling reads a consistent snapshot of the current size.
+    flag (0 when o_t is terminal) and its reset flag: True when the record
+    begins an episode, i.e. its episode id differs from the previous record's
+    (the first record is a reset). The flag is set once, at append, so it
+    reads no other record later. Records are immutable once appended;
+    sampling reads a consistent snapshot of the current size.
     """
 
     def __init__(self, obs_dim: int, action_dim: int, capacity: int = 1024):
@@ -151,15 +153,16 @@ class ExperienceDataset:
         self.action = np.zeros((capacity, action_dim), dtype=np.float64)
         self.reward = np.zeros(capacity, dtype=np.float64)
         self.cont = np.zeros(capacity, dtype=np.float64)
-        self.episode = np.zeros(capacity, dtype=np.int64)
+        self.reset = np.zeros(capacity, dtype=bool)
         self.n = 0
+        self._last_episode: int | None = None
 
     def __len__(self) -> int:
         return self.n
 
     def _grow(self) -> None:
         cap = self.obs.shape[0] * 2
-        for name in ("obs", "action", "reward", "cont", "episode"):
+        for name in ("obs", "action", "reward", "cont", "reset"):
             arr = getattr(self, name)
             grown = np.zeros((cap,) + arr.shape[1:], dtype=arr.dtype)
             grown[: self.n] = arr[: self.n]
@@ -179,28 +182,18 @@ class ExperienceDataset:
         self.action[i] = action
         self.reward[i] = reward
         self.cont[i] = cont
-        self.episode[i] = episode_id
+        self.reset[i] = episode_id != self._last_episode
+        self._last_episode = episode_id
         self.n = i + 1
-
-    def reset_flags(self, starts: np.ndarray, length: int) -> np.ndarray:
-        """(len(starts), length) bools: True where a record begins a new episode.
-
-        Row i covers the window [starts[i], starts[i] + length).
-        """
-        starts = np.asarray(starts)
-        episode = self.episode[starts[:, None] + np.arange(length)]
-        flags = np.empty(episode.shape, dtype=bool)
-        flags[:, 0] = (starts == 0) | (episode[:, 0] != self.episode[starts - 1])
-        flags[:, 1:] = episode[:, 1:] != episode[:, :-1]
-        return flags
 
     def sample_batch(self, rng: np.random.Generator, batch: int, length: int, sampler):
         """Sample `batch` length-`length` windows; None until enough data.
 
         All `batch` start offsets come from one etbs_indices draw at
         sampler.tau over the valid range (1 = oldest). Windows may span
-        episode boundaries; reset flags mark the boundary rows so downstream
-        scans cannot leak state across episodes.
+        episode boundaries; the stored reset flags of the window's records
+        mark the boundary rows, so downstream scans cannot leak state across
+        episodes.
         """
         n = self.n
         if n < length:
@@ -213,7 +206,7 @@ class ExperienceDataset:
             "action": self.action[gather],
             "reward": self.reward[gather],
             "cont": self.cont[gather],
-            "reset": self.reset_flags(starts, length),
+            "reset": self.reset[gather],
             "start": starts,
         }
 

@@ -93,16 +93,6 @@ class S5Params:
     def lam_value(self) -> np.ndarray:
         return -np.exp(self.log_neg_re.data) + 1j * self.im.data
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.log_neg_re": self.log_neg_re,
-            f"{prefix}.im": self.im,
-            f"{prefix}.b_mat": self.b_mat,
-            f"{prefix}.c_mat": self.c_mat,
-            f"{prefix}.d_vec": self.d_vec,
-            f"{prefix}.log_delta": self.log_delta,
-        }
-
 
 def hippo_n_init(
     state_dim: int,
@@ -219,13 +209,6 @@ class S5Stack:
         self.state_dim = state_dim
         self.ssms = [hippo_n_init(state_dim, INIT_BLOCKS, width, rng) for _ in range(n_blocks)]
         self.norms = [LayerNorm(width) for _ in range(n_blocks)]
-
-    def params(self, prefix: str = "stack") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (ssm, norm) in enumerate(zip(self.ssms, self.norms)):
-            out.update(ssm.params(f"{prefix}.b{i}.s5"))
-            out.update(norm.params(f"{prefix}.b{i}.norm"))
-        return out
 
     def _run(self, u: Tensor, gates: np.ndarray, discretized, x0: Tensor) -> tuple[Tensor, Tensor]:
         """Every block over (B,T,H) inputs and (B,T) gates from the start state x0 (B, n_blocks*2P).

@@ -42,11 +42,6 @@ class SubgoalAutoencoder:
         self.encoder = MLP(rng, [cfg.h_width, cfg.mlp_units, cfg.flat])
         self.decoder = MLP(rng, [cfg.flat, cfg.mlp_units, cfg.h_width])
 
-    def params(self, prefix: str = "ae") -> dict[str, Tensor]:
-        out = self.encoder.params(f"{prefix}.enc")
-        out.update(self.decoder.params(f"{prefix}.dec"))
-        return out
-
     def encode(self, h: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
         """(probabilities, straight-through one-hot sample), shapes (N, n_codes, code_size).
 

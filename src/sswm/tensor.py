@@ -344,34 +344,28 @@ def softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (_softmax_vjp(out, g),))
 
 
-def _sum_along(x: np.ndarray, axis, keepdims: bool) -> np.ndarray:
-    """x.sum(axis, keepdims), with the trailing axis (-1, or ndim - 1) summed by `_row_sum`."""
-    if axis not in (-1, x.ndim - 1):
-        return x.sum(axis=axis, keepdims=keepdims)
-    out = _row_sum(x)
-    return out if keepdims else out[..., 0]
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _sum_along(a.data, axis, keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    """Sum over every element, or over one axis; the trailing axis (-1, or ndim - 1) by `_row_sum`."""
+    x = a.data
+    if axis is None:
+        out = x.sum()
+    elif axis in (-1, x.ndim - 1):
+        out = _row_sum(x)[..., 0]
+    else:
+        out = x.sum(axis=axis)
 
     def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _make(out, (a,), vjp)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    # the sum and division numpy's mean runs, so a trailing-axis mean sums as layer_norm does
-    count = a.data.size if axis is None else a.shape[axis]
-    out = _sum_along(a.data, axis, keepdims) / count
-
-    def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.shape).copy(),)
-
-    return _make(out, (a,), vjp)
+def tmean(a: Tensor) -> Tensor:
+    """Mean over every element: the sum and division numpy's mean runs."""
+    count = a.data.size
+    out = a.data.sum() / count
+    return _make(out, (a,), lambda g: (np.broadcast_to(g / count, a.shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +418,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     width = x.shape[-1]
     if scale.shape != (width,) or shift.shape != (width,):
         raise ShapeError(f"layer_norm: widths differ, {x.shape} vs scale {scale.shape}, shift {shift.shape}")
-    # Each mean is a row sum and a division, as in tmean.
+    # Each mean is a row sum and a division.
     centered = x.data - _row_sum(x.data) / width
     var = _row_sum(centered * centered) / width
     inv = np.exp(-0.5 * np.log(var + eps))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dists
-from .nn import MLP, Linear
+from .nn import MLP, Linear, parameters
 from .s5 import ConfigError, S5Stack
 from .tensor import (
     Tensor,
@@ -100,14 +100,7 @@ class WorldModel:
         self.decoder = MLP(rng, [feat, c.mlp_units, c.obs_dim])
 
     def params(self) -> dict[str, Tensor]:
-        out = self.encoder.params("wm.enc")
-        out.update(self.in_proj.params("wm.in_proj"))
-        out.update(self.stack.params("wm.stack"))
-        out.update(self.dyn.params("wm.dyn"))
-        out.update(self.reward_head.params("wm.reward"))
-        out.update(self.cont_head.params("wm.cont"))
-        out.update(self.decoder.params("wm.decoder"))
-        return out
+        return parameters(self, "wm")
 
     # -- encoder / dynamics categoricals ------------------------------------
 
@@ -193,7 +186,7 @@ class WorldModel:
         reward_nll = mul(tmean(mul(r_err, r_err)), Tensor(0.5))
         continue_nll = tmean(dists.bernoulli_nll(out["cont_logit"], batch["cont"].reshape(-1)))
         o_err = add(out["obs_pred"], neg(Tensor(obs.reshape(bsz * t_len, -1))))
-        obs_nll = tmean(mul(tsum(mul(o_err, o_err), axis=1), Tensor(0.5)))
+        obs_nll = tmean(mul(tsum(mul(o_err, o_err), axis=-1), Tensor(0.5)))
         l_pred = add(add(reward_nll, continue_nll), obs_nll)
 
         post, prior = out["post_probs"], out["prior_probs"]

@@ -24,6 +24,7 @@ from sswm.agent import (
     subgoal_reward,
 )
 from sswm.envs import make_env
+from sswm.nn import parameters
 from sswm.replay import EtbsSampler
 from sswm.tensor import Tensor, add, make_rng, mul, neg, no_grad, reshape, tmean
 
@@ -129,7 +130,7 @@ def test_window_resets_match_replay(depth, k, steps, seed):
     for lvl in agent.levels:
         if passed[id(lvl)]:
             rows, resets = map(np.array, zip(*passed[id(lvl)]))
-            np.testing.assert_array_equal(resets, lvl.replay.reset_flags(rows, 1)[:, 0])
+            np.testing.assert_array_equal(resets, lvl.replay.reset[rows])
 
 
 def test_random_phase_acts_without_any_policy(monkeypatch):
@@ -267,13 +268,25 @@ def test_step_context_follows_train_step():
     np.testing.assert_array_equal(lvl.h, fresh)
 
 
+def test_each_level_trains_every_parameter_in_exactly_one_optimizer():
+    _, agent = tiny_agent(1, depth=3, k=2)
+    for i, lvl in enumerate(agent.levels):
+        opts = [lvl.wm_opt, lvl.ae_opt, lvl.ac_opt]
+        held = [{id(p) for p in opt.params.values()} for opt in opts]
+        # the top level has no subgoal stream, so no subgoal value head
+        assert [len(ids) for ids in held] == ([38, 8, 16] if i < 2 else [38, 8, 12])
+        assert sum(map(len, held)) == len(set().union(*held))  # disjoint
+        found = {**parameters(lvl.wm, "wm"), **parameters(lvl.ae, "ae"), **parameters(lvl.ac, "ac")}
+        assert set().union(*held) == {id(p) for p in found.values()}
+
+
 def test_top_level_trains_no_subgoal_stream(monkeypatch):
     env, agent = tiny_agent(9, depth=2, k=2)
     drive(agent, env, 8)
     low, top = agent.levels
-    heads = lambda ac: {name.split(".")[1] for name in ac.params() if ".v_" in name}  # noqa: E731
-    assert heads(low.ac) == {"v_extr", "v_g", "v_nov"} and low.ac.mix == MIX
-    assert heads(top.ac) == {"v_extr", "v_nov"}
+    heads = lambda ac: {name.split(".")[2] for name in parameters(ac, "ac") if name.startswith("ac.heads.")}  # noqa: E731
+    assert heads(low.ac) == {"extr", "g", "nov"} and low.ac.mix == MIX
+    assert heads(top.ac) == {"extr", "nov"}
     # built without a mix, an actor-critic has every stream, as a lower level's
     assert heads(ActorCritic(make_rng(0), low.ac.cfg)) == heads(low.ac)
 
@@ -377,7 +390,7 @@ def actor_critic_rollout(seed, mix, bsz=4, horizon=5, groups=2, classes=3):
 @pytest.mark.parametrize("mix", [MIX, TOP_MIX], ids=["3-stream", "2-stream"])
 def test_reinforce_loss_matches_per_stream_reference(mix):
     ac, args = actor_critic_rollout(33, mix)
-    params = ac.params()
+    params = parameters(ac, "ac")
 
     def run(loss_fn):
         total, report = loss_fn(ac, *args)

@@ -1,6 +1,6 @@
 """The package's public surface: every tensor op and every definition has a caller, every script resolves,
 the benchmark finds every name it imports or traces and runs one operation of each listed workload, and
-trailing-axis reductions and complex layout conversions have one form each."""
+trailing-axis reductions, complex layout conversions and parameter lists have one form each."""
 
 import ast
 import importlib
@@ -133,6 +133,25 @@ def test_complex_layout_converts_only_by_the_tensor_views():
     # splitting into halves and joining them again
     sites = [site for path in sorted(SRC.glob("*.py")) for site in _layout_conversions(path)]
     assert not sites, f"complex layout conversions outside tensor._complex/_real: {sites}"
+
+
+def test_parameters_are_listed_only_by_the_attribute_walk():
+    # nn.parameters finds a module's parameters; a hand-written params method
+    # would repeat its __init__, and a Tensor it forgot would never train.
+    # WorldModel.params stays, as that walk, for the benchmark's callers.
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "params"
+    ]
+    world_model = next(
+        node
+        for node in ast.walk(ast.parse((SRC / "worldmodel.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "WorldModel"
+    )
+    kept = [f"worldmodel.py:{fn.lineno}" for fn in world_model.body if isinstance(fn, ast.FunctionDef) and fn.name == "params"]
+    assert len(kept) == 1 and sites == kept, f"params methods besides WorldModel.params: {sites}"
 
 
 def test_project_scripts_resolve_to_callables():

@@ -61,7 +61,7 @@ def prior_path_mse(wm: WorldModel, ds: ExperienceDataset, rng) -> float:
     have no history and are left out.
     """
     n = len(ds)
-    resets = ds.reset_flags(np.array([0]), n)
+    resets = ds.reset[None, :n]
     with no_grad():
         out = wm.forward_sequence(ds.obs[None, :n], ds.action[None, :n], resets, rng)
         z = dists.sample_one_hot(out["prior_probs"].data, rng)

@@ -1,13 +1,40 @@
-"""Optimizer tests: AdamW is bias-corrected Adam on clipped gradients over flat storage, and skips non-finite ones."""
+"""nn tests: `parameters` finds a module's trainable Tensors by attribute path, and AdamW is
+bias-corrected Adam on clipped gradients over flat storage, which skips non-finite ones."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, AdamW
+from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, AdamW, parameters
 from sswm.s5 import S5Params, S5Stack, discretize
 from sswm.tensor import Tensor, make_rng
+
+
+@dataclasses.dataclass
+class _Cfg:
+    width: int
+    scale: Tensor
+
+
+class _Leaf:
+    def __init__(self, name: str):
+        self.w = Tensor(np.zeros(2), requires_grad=True)
+        self.frozen = Tensor(np.ones(2))  # a constant, not a parameter
+        self.name = name
+
+
+def test_parameters_finds_each_trainable_tensor_once_in_attribute_order():
+    root = _Leaf("root")
+    root.table = np.ones(3)
+    root.cfg = _Cfg(width=4, scale=Tensor(np.ones(1), requires_grad=True))
+    root.blocks = [_Leaf("a"), {"x": _Leaf("b"), "y": [Tensor(np.zeros(1), requires_grad=True)]}]
+    root.b = Tensor(np.zeros(1), requires_grad=True)
+    found = parameters(root, "m")
+    assert list(found) == ["m.w", "m.cfg.scale", "m.blocks.0.w", "m.blocks.1.x.w", "m.blocks.1.y.0", "m.b"]
+    want = [root.w, root.cfg.scale, root.blocks[0].w, root.blocks[1]["x"].w, root.blocks[1]["y"][0], root.b]
+    assert all(got is tensor for got, tensor in zip(found.values(), want))
+    assert parameters(np.ones(2), "a") == {} and parameters(Tensor(np.ones(2)), "t") == {}
 
 
 def test_adamw_matches_bias_corrected_adam_with_clipping():
@@ -110,7 +137,7 @@ def test_adamw_flat_update_equals_per_parameter_loop():
 
 def test_adamw_parameters_and_moments_are_views_of_flat_buffers():
     stack = S5Stack(make_rng(53), width=4, state_dim=4, n_blocks=2)
-    params = stack.params()
+    params = parameters(stack, "stack")
     opt = AdamW(params)
     assert all(np.shares_memory(p.data, opt._flat) for p in params.values())
     # an optimizer that never steps holds no state

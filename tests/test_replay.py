@@ -181,21 +181,22 @@ def test_sample_batch_single_records():
 def test_sample_batch_reset_at_boundary():
     ds = fill_dataset(n_episodes=2, ep_len=10)
     # window [5, 15) crosses the episode-1 boundary at global index 10
-    flags = ds.reset_flags(np.array([5]), 10)
-    assert flags.shape == (1, 10)
+    flags = ds.reset[5:15]
     assert flags.sum() == 1
-    assert flags[0, 5]  # position of global index 10 in the window
+    assert flags[5]  # position of global index 10 in the window
 
 
 def test_reset_flags_match_per_window_loop():
     ds = fill_dataset(n_episodes=4, ep_len=5)
+    episode = np.repeat(np.arange(4), 5)  # the id fill_dataset appends with each record
     length = 6
-    starts = np.arange(len(ds) - length + 1)
-    want = np.zeros((len(starts), length), dtype=bool)
-    for row, s in enumerate(starts):
+    batch = ds.sample_batch(make_rng(3), 64, length, UniformSampler())
+    want = np.zeros((64, length), dtype=bool)
+    for row, s in enumerate(batch["start"]):
         for j, i in enumerate(range(s, s + length)):
-            want[row, j] = i == 0 or ds.episode[i] != ds.episode[i - 1]
-    np.testing.assert_array_equal(ds.reset_flags(starts, length), want)
+            want[row, j] = i == 0 or episode[i] != episode[i - 1]
+    assert set(batch["start"]) == set(range(len(ds) - length + 1))  # every window is checked
+    np.testing.assert_array_equal(batch["reset"], want)
 
 
 def test_sample_batch_draws_every_start_in_one_etbs_call():
@@ -231,7 +232,7 @@ def test_dataset_growth_preserves_records():
     ds = fill_dataset(n_episodes=8, ep_len=10)  # forces several _grow calls
     assert len(ds) == 80
     np.testing.assert_array_equal(ds.obs[79], np.full(3, 79.0))
-    assert ds.episode[79] == 7
+    np.testing.assert_array_equal(np.flatnonzero(ds.reset[:80]), np.arange(0, 80, 10))
 
 
 @pytest.mark.parametrize(

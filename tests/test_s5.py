@@ -5,6 +5,7 @@ import pytest
 
 from sswm import s5
 from sswm import tensor as T
+from sswm.nn import parameters
 from sswm.tensor import Tensor, add, grad_check, make_rng, mul, tsum
 
 
@@ -231,7 +232,7 @@ def zoh_pair_reference(params: s5.S5Params, b_pair: Tensor) -> tuple[Tensor, Ten
     lam_bar = _complex_exp(mul(lam, delta))
     num = T.add(lam_bar, Tensor(np.tile([-1.0, 0.0], (p, 1))))
     conj_lam = mul(lam, Tensor(np.tile([1.0, -1.0], (p, 1))))
-    inv_abs2 = _exp(T.neg(T.log(tsum(mul(lam, lam), axis=-1, keepdims=True))))
+    inv_abs2 = _exp(T.neg(T.log(T.reshape(tsum(mul(lam, lam), axis=-1), (p, 1)))))
     coef = _complex_mul(num, mul(conj_lam, inv_abs2))
     return lam_bar, _complex_mul(T.reshape(coef, (p, 1, 2)), b_pair)
 
@@ -403,7 +404,7 @@ def test_scan_gradients_match_finite_differences():
         x, y = scan_from_zero(params, u, resets)
         return add(tsum(mul(y, y)), tsum(mul(x, x)))
 
-    leaves = dict(params.params("s5"))
+    leaves = parameters(params, "s5")
     leaves["u"] = u
     report = grad_check(fn, leaves, epsilon=1e-5)
     assert report.max_rel_err < 1e-5, report.per_leaf
@@ -457,7 +458,7 @@ def test_two_block_stack_gradients_match_finite_differences(mode):
     # and tslice, so its gradients arrive as non-contiguous pieces
     stack = make_stack(seed=12, width=4, p=4, n_blocks=2)
     rng = make_rng(32)
-    leaves = dict(stack.params())
+    leaves = parameters(stack, "stack")
     if mode == "forward":
         u = leaves["u"] = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
         resets = np.zeros((2, 6), dtype=bool)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from sswm.envs import TwoLevelGridworld
-from sswm.nn import AdamW
+from sswm.nn import AdamW, parameters
 from sswm.subgoal import KL_BETA, SubgoalAutoencoder, SubgoalConfig
 from sswm.tensor import Tensor, grad_check, make_rng
 
@@ -17,7 +17,7 @@ def make_ae(seed=0, h_width=6, n_codes=2, code_size=4, units=16):
 
 def test_equal_logits_uniform_codes():
     ae = make_ae()
-    for p in ae.encoder.params("e").values():
+    for p in parameters(ae.encoder, "e").values():
         p.data[:] = 0.0
     _, sample = ae.encode(Tensor(np.zeros((20_000, 6))), make_rng(1))
     counts = sample.data.sum(axis=0)[0]
@@ -55,7 +55,7 @@ def test_roundtrip_error_decreases_with_training():
     ae = make_ae(seed=6, h_width=4, n_codes=2, code_size=4, units=16)
     rng = make_rng(8)
     h_data = rng.normal(size=(64, 4))  # fixed distribution
-    opt = AdamW(ae.params(), lr=3e-3)
+    opt = AdamW(parameters(ae, "ae"), lr=3e-3)
     first = None
     for step in range(500):
         total, parts = ae.loss(Tensor(h_data), make_rng(100 + step))
@@ -69,7 +69,7 @@ def test_roundtrip_error_decreases_with_training():
 
 def test_uniform_logits_zero_kl():
     ae = make_ae()
-    for p in ae.encoder.params("e").values():
+    for p in parameters(ae.encoder, "e").values():
         p.data[:] = 0.0
     _, parts = ae.loss(Tensor(make_rng(9).normal(size=(8, 6))), make_rng(10))
     assert parts["kl"] == pytest.approx(0.0, abs=1e-9)
@@ -128,7 +128,7 @@ def test_loss_gradients_match_finite_differences(smooth_latents):
         total, _ = ae.loss(Tensor(h), make_rng(17))
         return total
 
-    report = grad_check(fn, ae.params(), epsilon=1e-5)
+    report = grad_check(fn, parameters(ae, "ae"), epsilon=1e-5)
     assert report.max_rel_err < 1e-5, report.per_leaf
 
 
@@ -197,7 +197,7 @@ def test_novelty_higher_in_unvisited_region():
     visited = region_states(False, 256)
     unvisited = region_states(True, 256)
     ae = make_ae(seed=25, h_width=8, n_codes=2, code_size=8, units=32)
-    opt = AdamW(ae.params(), lr=3e-3)
+    opt = AdamW(parameters(ae, "ae"), lr=3e-3)
     for step in range(600):
         total, _ = ae.loss(Tensor(visited), make_rng(400 + step))
         total.backward()

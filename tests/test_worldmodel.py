@@ -268,7 +268,7 @@ def test_zero_network_gives_zero_output():
             p.data[:] = 0.0
     # restore a sane norm scale so the block is still well-defined
     for name, p in wm.params().items():
-        if name.endswith("norm.scale"):
+        if name.startswith("wm.stack.norms") and name.endswith(".scale"):
             p.data[:] = 1.0
     rng = make_rng(13)
     z = np.zeros((2, 2, 4))
