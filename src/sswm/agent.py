@@ -217,10 +217,10 @@ class Subactor:
             if self._ctx is None:
                 self._ctx = self.wm.stack.discretized()
             z_t = dists.sample_one_hot(self.wm.encode(Tensor(obs[None, :])).data, rng)
-            h_t, prior_probs = self.wm.wm_step(Tensor(self.h), Tensor(self.z), Tensor(self.a_prev), self._ctx)
-            entropy = dists.latent_entropy_np(prior_probs.data)
+            h_t, prior_probs = self.wm.wm_step(self.h, self.z, self.a_prev, self._ctx)
+            entropy = dists.latent_entropy_np(prior_probs)
         self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
-        self.h = h_t.data
+        self.h = h_t
         self.z = z_t
         return self._features(self.h, z_t, self.goal_feature(), np.array([reward]), np.array([cont]), entropy)
 

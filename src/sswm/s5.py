@@ -10,22 +10,25 @@ reset mechanism; an online step has none, and its caller resets by carrying
 the zero state in. Only the optimizer moves the timescale, unbounded: the
 zero-order hold is exact for every delta > 0.
 
-The recurrence has one implementation, a sequential scan with an analytic
-adjoint (tensor.linear_recurrence). Training runs it over whole windows from
-the zero state; online stepping runs the same scan over one step, resumed
-from the carried state, with a step context that holds, per block, the
-zero-order hold's (lam_bar, b_real): the diagonal and the real drive matrix,
-so a step builds neither. The readout matrix is the parameter c_mat itself,
-which the scan reads directly. Complex values have one real layout, numpy's
-own complex128 memory: each row holds P interleaved (Re, Im) pairs, width 2P,
+The recurrence has one graph implementation, a sequential scan with an
+analytic adjoint (tensor.linear_recurrence), which training runs over whole
+windows from the zero state. Online stepping is never differentiated, so it
+is plain numpy with no graph: the same arithmetic at one step, resumed from
+the carried state, with the layer norm and GELU forwards that the graph ops
+call too, so it equals the sequence pass at T=1 bit for bit. Its step context
+holds, per block, the zero-order hold's (lam_bar, b_real): the diagonal and
+the real drive matrix, so a step builds neither. The readout matrix is the
+parameter c_mat itself. Complex values have one real layout, numpy's own
+complex128 memory: each row holds P interleaved (Re, Im) pairs, width 2P,
 and tensor's `_complex` and `_real` convert by a view. The input and output
 matrices are stored in it, the zero-order hold produces lam_bar and the drive
 matrix in it as two graph nodes with analytic VJPs, and states keep it from
 the drive through the scan to the readout; concatenated over blocks, they are
 the deterministic part h_t of a world-model state. A block is pre-norm ->
 drive matmul -> scan -> readout matmul plus D feedthrough -> GELU ->
-residual add, eight graph nodes with no layout conversion between them. S5Stack holds its blocks as two per-block
-lists, the SSM parameters and the layer norms.
+residual add, eight graph nodes in training with no layout conversion
+between them. S5Stack holds its blocks as two per-block lists, the SSM
+parameters and the layer norms.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import LayerNorm
-from .tensor import Tensor, _complex, _make, _real, add, concat, gelu, linear_recurrence, matmul, mul, reshape, tslice
+from .nn import LN_EPS, LayerNorm
+from .tensor import Tensor, _complex, _gelu, _layer_norm, _make, _real, add, concat, gelu, linear_recurrence, matmul, mul, tslice
 
 INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
 
@@ -205,7 +208,6 @@ class S5Stack:
     def __init__(self, rng, width: int, state_dim: int, n_blocks: int):
         if n_blocks < 1:
             raise ConfigError("need at least one S5 block")
-        self.width = width
         self.state_dim = state_dim
         self.ssms = [hippo_n_init(state_dim, INIT_BLOCKS, width, rng) for _ in range(n_blocks)]
         self.norms = [LayerNorm(width) for _ in range(n_blocks)]
@@ -245,16 +247,27 @@ class S5Stack:
         """
         return [discretize(ssm) for ssm in self.ssms]
 
-    def step(self, h_prev: Tensor, u: Tensor, discretized: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor]:
-        """One online step: the sequence pass at T=1, resumed from h_prev.
+    def step(self, h_prev: np.ndarray, u: np.ndarray, ctx: list[tuple[Tensor, Tensor]]) -> tuple[np.ndarray, np.ndarray]:
+        """One online step in plain numpy, resumed from h_prev; it records no graph.
 
         h_prev: (B, n_blocks*2P) holds each block's interleaved (Re x, Im x)
         pairs, the layout forward() returns; a zero h_prev is the start
-        state, so a caller resets a row by zeroing it. u: (B,H). The return
-        is (m, h) with h in the same layout. discretized is the step context,
+        state, so a caller resets a row by zeroing it. u: (B,H). Returns the
+        ndarrays (m, h), h in h_prev's layout. ctx is the step context,
         self.discretized(): per block (lam_bar, b_real), built once and
-        reused over many steps.
+        reused over many steps. Each block is _run's at T=1, computed by the
+        graph ops' own numpy forwards, so (m, h) equal _run's bit for bit.
         """
-        bsz = u.shape[0]
-        m, h = self._run(reshape(u, (bsz, 1, self.width)), np.ones((bsz, 1)), discretized, h_prev)
-        return reshape(m, (bsz, self.width)), reshape(h, (bsz, h_prev.shape[1]))
+        w = 2 * self.state_dim
+        h = np.empty((u.shape[0], len(self.ssms) * w))
+        for i, (ssm, norm, (lam_bar, b_real)) in enumerate(zip(self.ssms, self.norms, ctx)):
+            cols = slice(i * w, (i + 1) * w)
+            un = _layer_norm(u, norm.scale.data, norm.shift.data, LN_EPS)[0]
+            x = _complex(lam_bar.data) * _complex(h_prev[:, cols])
+            x += _complex(un @ b_real.data)
+            x_real = _real(x)
+            h[:, cols] = x_real
+            y = x_real @ ssm.c_mat.data
+            y += un * ssm.d_vec.data
+            u = u + _gelu(y)[0]
+        return u, h

@@ -2,10 +2,10 @@
 
 Everything downstream (state-space layers, world models, policies) is built on
 this fixed op set, each op in one form and called as a function (Tensor has
-no arithmetic operators): add, mul (both broadcasting), neg, log, gelu;
-tsum and tmean over all axes or one; softmax and l2_norm over the trailing
-axis; matmul, (..., k) @ (k, m); affine, layer_norm, linear_recurrence;
-concat, tslice and reshape.
+no arithmetic operators): add, mul (both broadcasting), neg, log, gelu; tsum
+over every element or the trailing axis; tmean over every element; softmax
+and l2_norm over the trailing axis; matmul, (..., k) @ (k, m); affine,
+layer_norm, linear_recurrence; concat, tslice and reshape.
 
 Three layers are single graph nodes with analytic VJPs: affine, layer_norm
 and linear_recurrence. The one activation, gelu, is the tanh form of GELU
@@ -13,7 +13,10 @@ and linear_recurrence. The one activation, gelu, is the tanh form of GELU
 within 4.7e-4 of the exact x * Phi(x), and at training shapes it costs less
 than half as much, because numpy's tanh is far cheaper than scipy's
 elementwise error function; at batch 1 it costs more, because it makes
-twice the ufunc calls. Tensors hold real float64 arrays, so the whole engine
+twice the ufunc calls. The numpy forwards of gelu and layer_norm are
+`_gelu` and `_layer_norm`, which both the graph ops and the graph-free S5
+online step call, so the step gets the ops' values bit for bit without
+paying for a Tensor and a VJP closure per call. Tensors hold real float64 arrays, so the whole engine
 is real-valued. Complex values have one layout, numpy's own complex128
 memory: a trailing axis of width 2P holding P interleaved pairs
 (Re x_0, Im x_0, Re x_1, Im x_1, ...), the layout of linear_recurrence's
@@ -260,18 +263,8 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU in its tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
-
-    At most 4.7e-4 from the exact x * Phi(x) (Hendrycks & Gimpel, arXiv
-    1606.08415), at less than half the cost of it with scipy's error
-    function. The tanh argument is taken from x clamped to +-10, where tanh
-    is already +-1, so every finite input gives a finite value and gradient
-    and raises no floating-point warning: gelu(x) = x with gradient 1 for
-    large positive x, 0 with gradient 0 for large negative x. The VJP is
-    analytic and reuses the forward's tanh.
-    """
-    x = a.data
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gelu's numpy forward: (out, xc, t), x clamped to +-10 and the tanh, which the VJP reuses."""
     xc = np.maximum(np.minimum(x, _GELU_HI), _GELU_LO)
     # updates run in place: at training shapes a fresh array costs about as
     # much as the arithmetic that fills it
@@ -283,6 +276,21 @@ def gelu(a: Tensor) -> Tensor:
     out = t * _GELU_HALF
     out += _GELU_HALF
     out *= x
+    return out, xc, t
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU in its tanh form: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+
+    At most 4.7e-4 from the exact x * Phi(x) (Hendrycks & Gimpel, arXiv
+    1606.08415), at less than half the cost of it with scipy's error
+    function. The tanh argument is taken from x clamped to +-10, where tanh
+    is already +-1, so every finite input gives a finite value and gradient
+    and raises no floating-point warning: gelu(x) = x with gradient 1 for
+    large positive x, 0 with gradient 0 for large negative x. The VJP is
+    analytic and reuses the forward's tanh.
+    """
+    out, xc, t = _gelu(a.data)
 
     def vjp(g):
         # d/dx = 0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2),
@@ -345,17 +353,17 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    """Sum over every element, or over one axis; the trailing axis (-1, or ndim - 1) by `_row_sum`."""
+    """Sum over every element, or over the trailing axis (-1, or ndim - 1) by `_row_sum`."""
     x = a.data
     if axis is None:
         out = x.sum()
     elif axis in (-1, x.ndim - 1):
         out = _row_sum(x)[..., 0]
     else:
-        out = x.sum(axis=axis)
+        raise ShapeError(f"tsum: axis {axis} of {a.shape} is not the trailing one")
 
     def vjp(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
+        gg = g if axis is None else g[..., None]
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _make(out, (a,), vjp)
@@ -407,6 +415,17 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), vjp)
 
 
+def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """layer_norm's numpy forward: (out, normed, inv), the normalized input and 1/std, which the VJP reuses."""
+    width = x.shape[-1]
+    # Each mean is a row sum and a division.
+    centered = x - _row_sum(x) / width
+    var = _row_sum(centered * centered) / width
+    inv = np.exp(-0.5 * np.log(var + eps))
+    normed = centered * inv
+    return normed * scale + shift, normed, inv
+
+
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * scale + shift over the trailing axis, as one node.
 
@@ -418,12 +437,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     width = x.shape[-1]
     if scale.shape != (width,) or shift.shape != (width,):
         raise ShapeError(f"layer_norm: widths differ, {x.shape} vs scale {scale.shape}, shift {shift.shape}")
-    # Each mean is a row sum and a division.
-    centered = x.data - _row_sum(x.data) / width
-    var = _row_sum(centered * centered) / width
-    inv = np.exp(-0.5 * np.log(var + eps))
-    normed = centered * inv
-    out = normed * scale.data + shift.data
+    out, normed, inv = _layer_norm(x.data, scale.data, shift.data, eps)
 
     def vjp(g):
         rows = g.reshape(-1, width)

@@ -209,18 +209,19 @@ class WorldModel:
 
     # -- stepwise interface ---------------------------------------------------
 
-    def wm_step(self, h_prev: Tensor, z_prev: Tensor, a_prev: Tensor, ctx: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor]:
+    def wm_step(self, h_prev: np.ndarray, z_prev: np.ndarray, a_prev: np.ndarray, ctx: list[tuple[Tensor, Tensor]]) -> tuple[np.ndarray, np.ndarray]:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (h_t, prior probabilities p(z_t|m_t)).
 
-        z_prev: (B, n_cats, n_classes) one-hots (flattened internally). A row
-        starts an episode from all-zero h_prev, z_prev and a_prev, the start
-        state, so a caller resets it by zeroing them. ctx is the S5 step
-        context, self.stack.discretized(), reused over many steps.
+        ndarrays in and out, and no graph is recorded. z_prev: (B, n_cats,
+        n_classes) one-hots (flattened internally). A row starts an episode
+        from all-zero h_prev, z_prev and a_prev, the start state, so a caller
+        resets it by zeroing them. ctx is the S5 step context,
+        self.stack.discretized(), reused over many steps.
         """
-        bsz = h_prev.shape[0]
-        zf = reshape(z_prev, (bsz, self.cfg.z_flat))
-        m, h = self.stack.step(h_prev, self.in_proj(concat([zf, a_prev], axis=1)), ctx)
-        return h, self._prior(m)
+        u = np.concatenate([z_prev.reshape(h_prev.shape[0], self.cfg.z_flat), a_prev], axis=1)
+        with no_grad():
+            m, h = self.stack.step(h_prev, self.in_proj(Tensor(u)).data, ctx)
+            return h, self._prior(Tensor(m)).data
 
     # -- imagination -----------------------------------------------------------
 
@@ -264,10 +265,9 @@ class WorldModel:
                 }
                 a = act_fn(i, state)
                 actions[:, i] = a
-                h_t, prior_probs = self.wm_step(Tensor(h[:, i]), Tensor(z[:, i]), Tensor(a), ctx)
-                h[:, i + 1] = h_t.data
-                z[:, i + 1] = dists.sample_one_hot(prior_probs.data, rng)
-                entropies[:, i + 1] = dists.latent_entropy_np(prior_probs.data)
+                h[:, i + 1], prior_probs = self.wm_step(h[:, i], z[:, i], a, ctx)
+                z[:, i + 1] = dists.sample_one_hot(prior_probs, rng)
+                entropies[:, i + 1] = dists.latent_entropy_np(prior_probs)
         return {
             "h": h,
             "z": z,

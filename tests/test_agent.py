@@ -26,7 +26,7 @@ from sswm.agent import (
 from sswm.envs import make_env
 from sswm.nn import parameters
 from sswm.replay import EtbsSampler
-from sswm.tensor import Tensor, add, make_rng, mul, neg, no_grad, reshape, tmean
+from sswm.tensor import Tensor, add, make_rng, mul, neg, reshape, tmean
 
 TINY = dict(
     wm_kwargs=dict(n_cats=2, n_classes=4, model_dim=8, state_dim=4, mlp_units=8),
@@ -258,9 +258,7 @@ def test_step_context_follows_train_step():
     assert lvl.train_step(2, 3, EtbsSampler(0.3), 2, make_rng(7, stream=2)) is not None
 
     def step_h(ctx):
-        with no_grad():
-            h, _ = lvl.wm.wm_step(Tensor(lvl.h), Tensor(lvl.z), Tensor(lvl.a_prev), ctx)
-        return h.data
+        return lvl.wm.wm_step(lvl.h, lvl.z, lvl.a_prev, ctx)[0]
 
     fresh, old = step_h(lvl.wm.stack.discretized()), step_h(stale)
     assert not np.array_equal(fresh, old)  # the update moved the step maps

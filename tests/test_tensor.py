@@ -123,6 +123,7 @@ SHAPE_ERRORS = {
     ),
     "affine": lambda: T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4))),
     "layer_norm": lambda: T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(3)), 1e-6),
+    "tsum": lambda: T.tsum(Tensor(np.zeros((2, 3))), axis=0),  # only all elements or the trailing axis
 }
 
 

@@ -249,15 +249,15 @@ def test_unrolled_steps_match_sequence_forward():
 
     ctx = wm.stack.discretized()
     bsz, t_len = 2, 7
-    h = Tensor(np.zeros((bsz, wm.h_width)))
+    h = np.zeros((bsz, wm.h_width))
     z_prev = np.zeros((bsz, cfg.n_cats, cfg.n_classes))
     for t in range(t_len):
         keep = 1.0 - batch["reset"][:, t].astype(float)
         zp = z_prev * keep[:, None, None]
-        h = Tensor(h.data * keep[:, None])  # a reset row steps from the zero start state
-        h, prior = wm.wm_step(h, Tensor(zp), Tensor(batch["action"][:, t]), ctx)
-        np.testing.assert_allclose(h.data, h_seq[:, t], atol=1e-10)
-        np.testing.assert_allclose(prior.data, prior_seq[:, t], atol=1e-10)
+        h = h * keep[:, None]  # a reset row steps from the zero start state
+        h, prior = wm.wm_step(h, zp, batch["action"][:, t], ctx)
+        np.testing.assert_allclose(h, h_seq[:, t], atol=1e-10)
+        np.testing.assert_allclose(prior, prior_seq[:, t], atol=1e-10)
         z_prev = z[:, t]
 
 
@@ -273,11 +273,9 @@ def test_zero_network_gives_zero_output():
     rng = make_rng(13)
     z = np.zeros((2, 2, 4))
     z[:, :, 0] = 1.0
-    _, prior = wm.wm_step(
-        Tensor(np.zeros((2, wm.h_width))), Tensor(z * 0.0), Tensor(np.zeros((2, 3))), wm.stack.discretized()
-    )
+    _, prior = wm.wm_step(np.zeros((2, wm.h_width)), z * 0.0, np.zeros((2, 3)), wm.stack.discretized())
     # the sequence model's output m is zero, so the prior is the one at m = 0
-    np.testing.assert_allclose(prior.data, wm._prior(Tensor(np.zeros((2, wm.cfg.model_dim)))).data, atol=1e-12)
+    np.testing.assert_allclose(prior, wm._prior(Tensor(np.zeros((2, wm.cfg.model_dim)))).data, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
