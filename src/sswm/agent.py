@@ -30,7 +30,7 @@ from . import dists
 from .nn import MLP, AdamW, parameters
 from .replay import ExperienceDataset
 from .subgoal import SubgoalAutoencoder, SubgoalConfig
-from .tensor import Tensor, _row_sum, add, concat, log, make_rng, mul, neg, no_grad, reshape, softmax, tmean, tslice, tsum
+from .tensor import Tensor, _row_sum, _softmax, add, concat, log, make_rng, mul, neg, reshape, softmax, tmean, tslice, tsum
 from .worldmodel import LatentState, WmConfig, WorldModel
 
 # read-only: every level's actor-critic holds one of these two by reference
@@ -39,7 +39,7 @@ TOP_MIX = MappingProxyType({s: w for s, w in MIX.items() if s != "g"})
 # lambda-return discount and mixing; DreamerV3 (arXiv 2301.04104) has lambda 0.95, gamma 0.997
 GAMMA = 0.99
 LAM = 0.95
-ENTROPY_COEF = 3e-3  # 10x DreamerV3's 3e-4, which scales normalized returns (ROADMAP item 1.b)
+ENTROPY_COEF = 3e-3  # 10x DreamerV3's 3e-4, which scales normalized returns (ROADMAP item 1.d)
 
 
 def subgoal_reward(g_dec: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -94,20 +94,18 @@ class ActorCritic:
         self.policy = MLP(rng, [cfg.feat_width, cfg.mlp_units, cfg.action_groups * cfg.action_classes])
         self.heads = {s: MLP(rng, [cfg.feat_width, cfg.mlp_units, 1]) for s in mix}
 
-    def policy_probs(self, feats: Tensor) -> Tensor:
-        n = feats.shape[0]
-        logits = reshape(self.policy(feats), (n, self.cfg.action_groups, self.cfg.action_classes))
-        return softmax(logits)
-
     def act(self, feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample a one-hot action matrix (N, groups, classes)."""
-        with no_grad():
-            probs = self.policy_probs(Tensor(feats)).data
-        return dists.sample_one_hot(probs, rng)
+        """Sample a one-hot action matrix (N, groups, classes) from the policy.
+
+        ndarrays in and out: the policy MLP runs by `infer` and the softmax
+        by its numpy forward, so no Tensor is built.
+        """
+        logits = self.policy.infer(feats).reshape(feats.shape[0], self.cfg.action_groups, self.cfg.action_classes)
+        return dists.sample_one_hot(_softmax(logits), rng)
 
     def log_prob_entropy(self, feats: Tensor, actions: np.ndarray) -> tuple[Tensor, Tensor]:
         """Joint log-probability and entropy per row (summed over code groups)."""
-        probs = self.policy_probs(feats)
+        probs = softmax(reshape(self.policy(feats), (feats.shape[0], self.cfg.action_groups, self.cfg.action_classes)))
         picked = tsum(mul(probs, Tensor(actions)), axis=-1)  # (N, G)
         lp = tsum(log(picked), axis=-1)
         ent = tsum(dists.entropy_categorical(probs), axis=-1)
@@ -191,16 +189,22 @@ class Subactor:
     # -- interaction ----------------------------------------------------------
 
     def _features(self, h, z, goal_vec, reward, cont, entropy):
-        """Actor features [h, z, goal, symlog reward, cont, entropy] per row.
+        """Actor features [h, z, goal, symlog reward, cont, entropy] per row, (N, feat_width).
 
-        goal_vec is the one held goal (d,), repeated on every row.
+        goal_vec is the one held goal (d,), repeated on every row; reward,
+        cont and entropy are (N,). Each part is written into its columns of
+        one array.
         """
-        zf = z.reshape(z.shape[0], -1)
-        scalars = np.stack(
-            [dists.symlog_np(np.asarray(reward, dtype=np.float64)), np.asarray(cont, dtype=np.float64), np.asarray(entropy, dtype=np.float64)],
-            axis=1,
-        )
-        return np.concatenate([h, zf, np.broadcast_to(goal_vec, (z.shape[0], goal_vec.size)), scalars], axis=1)
+        n, h_end = h.shape
+        z_end = h_end + self.wm.cfg.z_flat
+        out = np.empty((n, self.ac.cfg.feat_width))
+        out[:, :h_end] = h
+        out[:, h_end:z_end] = z.reshape(n, -1)
+        out[:, z_end:-3] = goal_vec
+        out[:, -3] = dists.symlog_np(reward)
+        out[:, -2] = cont
+        out[:, -1] = entropy
+        return out
 
     def advance(self, obs: np.ndarray, reward: float, cont: float, reset: bool, episode_id: int, rng) -> np.ndarray:
         """Encode one observation, advance the latent state, record the step.
@@ -209,16 +213,15 @@ class Subactor:
         h, z and the previous action return to the all-zero start state
         before stepping.
         """
-        with no_grad():
-            if reset:
-                self.h = np.zeros_like(self.h)
-                self.z = np.zeros_like(self.z)
-                self.a_prev = np.zeros_like(self.a_prev)
-            if self._ctx is None:
-                self._ctx = self.wm.stack.discretized()
-            z_t = dists.sample_one_hot(self.wm.encode(Tensor(obs[None, :])).data, rng)
-            h_t, prior_probs = self.wm.wm_step(self.h, self.z, self.a_prev, self._ctx)
-            entropy = dists.latent_entropy_np(prior_probs)
+        if reset:
+            self.h = np.zeros_like(self.h)
+            self.z = np.zeros_like(self.z)
+            self.a_prev = np.zeros_like(self.a_prev)
+        if self._ctx is None:
+            self._ctx = self.wm.stack.discretized()
+        z_t = dists.sample_one_hot(self.wm.encode_step(obs[None, :]), rng)
+        h_t, prior_probs = self.wm.wm_step(self.h, self.z, self.a_prev, self._ctx)
+        entropy = dists.latent_entropy_np(prior_probs)
         self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
         self.h = h_t
         self.z = z_t
@@ -287,9 +290,7 @@ class Subactor:
         nov = self.ae.novelty(traj["h"].reshape(n * hp1, -1), rng).reshape(n, hp1)
         rewards = {"extr": traj["reward"], "nov": nov}
         if "g" in self.ac.mix:
-            with no_grad():
-                goal = self.ae.decode(Tensor(self.goal_codes[None])).data[0]
-            rewards["g"] = subgoal_reward(goal, traj["h"])
+            rewards["g"] = subgoal_reward(self.ae.decoder.infer(goal_vec[None])[0], traj["h"])
         actions = traj["action"].reshape(n, horizon, self.ac.cfg.action_groups, self.ac.cfg.action_classes)
         total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"])
         total.backward()

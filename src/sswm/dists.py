@@ -15,15 +15,21 @@ def symexp_np(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * (np.exp(np.abs(x)) - 1.0)
 
 
+def _unimix_probs(logits: np.ndarray, unimix: float) -> tuple[np.ndarray, np.ndarray]:
+    """unimix_probs's numpy forward: (out, p), the mixture and the softmax p, which the VJP reuses."""
+    p = _softmax(logits)
+    return p * (1.0 - unimix) + unimix / logits.shape[-1], p
+
+
 def unimix_probs(logits: Tensor, unimix: float) -> Tensor:
     """Softmax over the trailing axis mixed with a uniform floor, as one node.
 
     p * (1 - unimix) + unimix / k; its VJP is the softmax VJP of the output
-    gradient scaled by (1 - unimix).
+    gradient scaled by (1 - unimix). Inference calls its numpy forward,
+    `_unimix_probs`, directly.
     """
-    p = _softmax(logits.data)
+    out, p = _unimix_probs(logits.data, unimix)
     keep = 1.0 - unimix
-    out = p * keep + unimix / logits.shape[-1]
     return _make(out, (logits,), lambda g: (_softmax_vjp(p, g * keep),))
 
 

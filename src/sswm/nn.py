@@ -9,6 +9,10 @@ optimizer takes its parameters' storage over at construction: each
 few whole-vector calls rather than a dozen per parameter. Parameters are
 therefore loaded by writing into `p.data` in place, never by rebinding it,
 and one optimizer owns a given set of parameters.
+
+Linear and MLP have two forwards: called on a Tensor they record graph
+nodes, for training; `infer` takes and returns ndarrays and builds no Tensor,
+for inference (acting, imagination, novelty, the goal decode).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .tensor import Tensor, affine, gelu, layer_norm
+from .tensor import Tensor, _affine, _gelu, affine, gelu, layer_norm
 
 LN_EPS = 1e-6  # LayerNorm's variance floor, flax.linen.LayerNorm's default
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, arXiv 1412.6980)
@@ -57,7 +61,7 @@ def parameters(module, prefix: str) -> dict[str, Tensor]:
 
 
 class Linear:
-    """Affine map for 2-D inputs: (N, n_in) -> (N, n_out), one tensor.affine node."""
+    """Affine map for 2-D inputs: (N, n_in) -> (N, n_out), one tensor.affine node; `infer` runs it on ndarrays."""
 
     def __init__(self, rng: np.random.Generator, n_in: int, n_out: int):
         std = 1.0 / np.sqrt(n_in)  # LeCun normal
@@ -67,9 +71,17 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.w, self.b)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return _affine(x, self.w.data, self.b.data)
+
 
 class MLP:
-    """Stack of Linear layers with GELU between them."""
+    """Stack of Linear layers with GELU between them.
+
+    `infer` is the same forward on ndarrays, through the numpy forwards that
+    the graph ops call (`tensor._affine`, `tensor._gelu`): the graph's values
+    bit for bit, and no Tensor built.
+    """
 
     def __init__(self, rng, sizes: list[int]):
         if len(sizes) < 2:
@@ -80,6 +92,11 @@ class MLP:
         for layer in self.layers[:-1]:
             x = gelu(layer(x))
         return self.layers[-1](x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers[:-1]:
+            x = _gelu(layer.infer(x))[0]
+        return self.layers[-1].infer(x)
 
 
 class LayerNorm:

@@ -236,16 +236,18 @@ class S5Stack:
         for all blocks. Returns (m, h): outputs and deterministic states.
         """
         zero = Tensor(np.zeros((u.shape[0], len(self.ssms) * 2 * self.state_dim)))
-        return self._run(u, 1.0 - np.asarray(resets, dtype=np.float64), self.discretized(), zero)
+        return self._run(u, 1.0 - np.asarray(resets, dtype=np.float64), [discretize(ssm) for ssm in self.ssms], zero)
 
     def discretized(self) -> list[tuple[Tensor, Tensor]]:
-        """The step context: per block (lam_bar, b_real) from discretize.
+        """The step context: per block (lam_bar, b_real) from discretize, as constants.
 
-        It depends on parameters only; step() callers build it once and reuse
-        it over many steps, and rebuild it after every parameter update. The
-        readout needs no entry: it is the parameter c_mat itself.
+        discretize runs on detached views of the parameters, so building the
+        context records no graph node. It depends on parameters only; step()
+        callers build it once and reuse it over many steps, and rebuild it
+        after every parameter update. The readout needs no entry: it is the
+        parameter c_mat itself.
         """
-        return [discretize(ssm) for ssm in self.ssms]
+        return [discretize(S5Params(**{name: p.detach() for name, p in vars(ssm).items()})) for ssm in self.ssms]
 
     def step(self, h_prev: np.ndarray, u: np.ndarray, ctx: list[tuple[Tensor, Tensor]]) -> tuple[np.ndarray, np.ndarray]:
         """One online step in plain numpy, resumed from h_prev; it records no graph.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dists
 from .nn import MLP
-from .tensor import Tensor, add, l2_norm, log, mul, neg, no_grad, reshape, softmax, tmean, tsum
+from .tensor import Tensor, _l2_norm, _softmax, add, l2_norm, log, mul, neg, reshape, softmax, tmean, tsum
 
 KL_BETA = 0.5  # weight of the KL pull toward the uniform code prior; set here, not tuned
 
@@ -72,8 +72,11 @@ class SubgoalAutoencoder:
         return total, {"recon": recon_term.item(), "kl": kl_term.item(), "total": total.item()}
 
     def novelty(self, h: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Round-trip residual norm per row (>= 0), using sampled codes."""
-        with no_grad():
-            _, code = self.encode(Tensor(h), rng)
-            recon = self.decode(code)
-        return l2_norm(Tensor(h - recon.data)).data
+        """Round-trip residual norm per row (>= 0), using sampled codes.
+
+        encode, decode and l2_norm's forwards on ndarrays (h: (N, h_width)),
+        the MLPs by `infer`: the values of the graph path, and no Tensor built.
+        """
+        n = h.shape[0]
+        probs = _softmax(self.encoder.infer(h).reshape(n, self.cfg.n_codes, self.cfg.code_size))
+        return _l2_norm(h - self.decoder.infer(dists.sample_one_hot(probs, rng).reshape(n, self.cfg.flat)))

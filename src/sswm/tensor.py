@@ -13,12 +13,21 @@ and linear_recurrence. The one activation, gelu, is the tanh form of GELU
 within 4.7e-4 of the exact x * Phi(x), and at training shapes it costs less
 than half as much, because numpy's tanh is far cheaper than scipy's
 elementwise error function; at batch 1 it costs more, because it makes
-twice the ufunc calls. The numpy forwards of gelu and layer_norm are
-`_gelu` and `_layer_norm`, which both the graph ops and the graph-free S5
-online step call, so the step gets the ops' values bit for bit without
-paying for a Tensor and a VJP closure per call. Tensors hold real float64 arrays, so the whole engine
-is real-valued. Complex values have one layout, numpy's own complex128
-memory: a trailing axis of width 2P holding P interleaved pairs
+twice the ufunc calls.
+
+Graph and inference share one numpy forward per op that inference runs:
+`_affine`, `_gelu`, `_layer_norm`, `_softmax` and `_l2_norm` (and, outside
+this module, `dists._unimix_probs`). Each graph op computes its value by
+calling its forward. Inference, through which no gradient flows, calls the
+forwards on ndarrays: the S5 online step, `nn.MLP.infer` and with them
+acting, imagination, novelty and the goal decode. It so gets the ops' values
+bit for bit without paying for a Tensor and a VJP closure per call, and no
+code in the package enters `no_grad`. `no_grad` remains for a graph forward
+that is never differentiated, such as a held-out loss.
+
+Tensors hold real float64 arrays, so the whole engine is real-valued.
+Complex values have one layout, numpy's own complex128 memory: a trailing
+axis of width 2P holding P interleaved pairs
 (Re x_0, Im x_0, Re x_1, Im x_1, ...), the layout of linear_recurrence's
 diagonal, drive, start state and states. Converting in either direction is a
 view (`_complex`, `_real`), not a copy. The start state is always passed, as
@@ -110,7 +119,7 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (forward-only fast path)."""
+    """Disable graph recording inside the block, for a graph forward that is never differentiated."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -401,12 +410,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """affine's numpy forward: x @ w, then b added in place."""
+    out = x @ w
+    out += b
+    return out
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: x (N, n_in), w (n_in, n_out), b (n_out,)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"affine: widths differ, {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data
-    out += b.data
+    out = _affine(x.data, w.data, b.data)
 
     def vjp(g):
         gx = g @ w.data.T if x.requires_grad else None
@@ -449,9 +464,14 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float) -> Tensor:
     return _make(out, (x, scale, shift), vjp)
 
 
+def _l2_norm(x: np.ndarray) -> np.ndarray:
+    """l2_norm's numpy forward."""
+    return np.sqrt(_row_sum(x * x)[..., 0])
+
+
 def l2_norm(a: Tensor) -> Tensor:
     """Euclidean norm over the trailing axis: (..., n) -> (...)."""
-    out = np.sqrt(_row_sum(a.data * a.data)[..., 0])
+    out = _l2_norm(a.data)
 
     def vjp(g):
         # Subgradient 0 at the origin.

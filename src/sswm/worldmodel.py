@@ -27,7 +27,6 @@ from .tensor import (
     concat,
     mul,
     neg,
-    no_grad,
     reshape,
     tmean,
     tslice,
@@ -110,22 +109,24 @@ class WorldModel:
         The posterior is independent of h, which is what allows all window
         positions to encode in parallel before the single scan.
         """
-        if obs.shape[-1] != self.cfg.obs_dim:
-            raise ConfigError(f"observation width {obs.shape[-1]} != configured {self.cfg.obs_dim}")
+        self._check_width(obs)
         n = obs.shape[0]
         return dists.unimix_probs(reshape(self.encoder(obs), (n, self.cfg.n_cats, self.cfg.n_classes)), UNIMIX)
+
+    def encode_step(self, obs: np.ndarray) -> np.ndarray:
+        """encode for acting: ndarrays in and out, the same values, and no Tensor built."""
+        self._check_width(obs)
+        logits = self.encoder.infer(obs).reshape(obs.shape[0], self.cfg.n_cats, self.cfg.n_classes)
+        return dists._unimix_probs(logits, UNIMIX)[0]
+
+    def _check_width(self, obs) -> None:
+        if obs.shape[-1] != self.cfg.obs_dim:
+            raise ConfigError(f"observation width {obs.shape[-1]} != configured {self.cfg.obs_dim}")
 
     def _prior(self, m: Tensor) -> Tensor:
         """Unimixed prior probabilities p(z|m): (N, model_dim) -> (N, n_cats, n_classes)."""
         n = m.shape[0]
         return dists.unimix_probs(reshape(self.dyn(m), (n, self.cfg.n_cats, self.cfg.n_classes)), UNIMIX)
-
-    # -- heads ---------------------------------------------------------------
-
-    def predict_heads(self, feats: Tensor) -> tuple[Tensor, Tensor]:
-        """(reward in symlog space, continue logit) from (N, h_width + z_flat) [h, z] features."""
-        n = feats.shape[0]
-        return reshape(self.reward_head(feats), (n,)), reshape(self.cont_head(feats), (n,))
 
     # -- sequence pass -------------------------------------------------------
 
@@ -157,15 +158,15 @@ class WorldModel:
         z = reshape(dists.sample_straight_through(post_probs, rng), (bsz, t_len, self.cfg.n_cats, self.cfg.n_classes))
         u = self._seq_inputs(z, action, resets)
         m, h = self.stack.forward(u, resets)
-        feats = concat([reshape(h, (bsz * t_len, self.h_width)), reshape(z, (bsz * t_len, self.cfg.z_flat))], axis=1)
-        reward_sym, cont_logit = self.predict_heads(feats)
+        n = bsz * t_len
+        feats = concat([reshape(h, (n, self.h_width)), reshape(z, (n, self.cfg.z_flat))], axis=1)
         return {
             "post_probs": post_probs,
-            "prior_probs": self._prior(reshape(m, (bsz * t_len, self.cfg.model_dim))),
+            "prior_probs": self._prior(reshape(m, (n, self.cfg.model_dim))),
             "z": z,
             "h": h,
-            "reward_sym": reward_sym,
-            "cont_logit": cont_logit,
+            "reward_sym": reshape(self.reward_head(feats), (n,)),
+            "cont_logit": reshape(self.cont_head(feats), (n,)),
             "obs_pred": self.decoder(feats),
         }
 
@@ -212,16 +213,17 @@ class WorldModel:
     def wm_step(self, h_prev: np.ndarray, z_prev: np.ndarray, a_prev: np.ndarray, ctx: list[tuple[Tensor, Tensor]]) -> tuple[np.ndarray, np.ndarray]:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (h_t, prior probabilities p(z_t|m_t)).
 
-        ndarrays in and out, and no graph is recorded. z_prev: (B, n_cats,
-        n_classes) one-hots (flattened internally). A row starts an episode
-        from all-zero h_prev, z_prev and a_prev, the start state, so a caller
-        resets it by zeroing them. ctx is the S5 step context,
-        self.stack.discretized(), reused over many steps.
+        ndarrays in and out, and no Tensor is built: in_proj and the prior's
+        MLP run by their `infer` forwards, the S5 stack by its numpy step.
+        z_prev: (B, n_cats, n_classes) one-hots (flattened internally). A row
+        starts an episode from all-zero h_prev, z_prev and a_prev, the start
+        state, so a caller resets it by zeroing them. ctx is the S5 step
+        context, self.stack.discretized(), reused over many steps.
         """
-        u = np.concatenate([z_prev.reshape(h_prev.shape[0], self.cfg.z_flat), a_prev], axis=1)
-        with no_grad():
-            m, h = self.stack.step(h_prev, self.in_proj(Tensor(u)).data, ctx)
-            return h, self._prior(Tensor(m)).data
+        n, c = h_prev.shape[0], self.cfg
+        u = np.concatenate([z_prev.reshape(n, c.z_flat), a_prev], axis=1)
+        m, h = self.stack.step(h_prev, self.in_proj.infer(u), ctx)
+        return h, dists._unimix_probs(self.dyn.infer(m).reshape(n, c.n_cats, c.n_classes), UNIMIX)[0]
 
     # -- imagination -----------------------------------------------------------
 
@@ -231,43 +233,43 @@ class WorldModel:
         act_fn(step_index, state_dict) -> one-hot actions (B, action_dim);
         state_dict carries h, z, reward, cont, entropy (all numpy). There is
         deliberately no observation input anywhere on this path, and the
-        observation decoder does not run. Runs without gradient recording;
-        the returned trajectory is plain numpy.
+        observation decoder does not run. The heads run by their `infer`
+        forwards and the steps by wm_step, so the only Tensors built are the
+        step context's; the returned trajectory is plain numpy.
         """
         if horizon < 1:
             raise ConfigError("imagination horizon must be >= 1")
         bsz = start.h.shape[0]
         c = self.cfg
-        with no_grad():
-            ctx = self.stack.discretized()
-            h = np.empty((bsz, horizon + 1, start.h.shape[1]))
-            z = np.empty((bsz, horizon + 1, c.n_cats, c.n_classes))
-            actions = np.empty((bsz, horizon, c.action_dim))
-            rewards = np.empty((bsz, horizon + 1))
-            conts = np.empty((bsz, horizon + 1))
-            entropies = np.zeros((bsz, horizon + 1))
-            h[:, 0] = start.h
-            z[:, 0] = start.z
-            if start_entropy is not None:
-                entropies[:, 0] = start_entropy
-            for i in range(horizon + 1):
-                r_t, c_t = self.predict_heads(Tensor(np.concatenate([h[:, i], z[:, i].reshape(bsz, c.z_flat)], axis=1)))
-                rewards[:, i] = dists.symexp_np(r_t.data)
-                conts[:, i] = 1.0 / (1.0 + np.exp(-c_t.data))
-                if i == horizon:
-                    break
-                state = {
-                    "h": h[:, i],
-                    "z": z[:, i],
-                    "reward": rewards[:, i],
-                    "cont": conts[:, i],
-                    "entropy": entropies[:, i],
-                }
-                a = act_fn(i, state)
-                actions[:, i] = a
-                h[:, i + 1], prior_probs = self.wm_step(h[:, i], z[:, i], a, ctx)
-                z[:, i + 1] = dists.sample_one_hot(prior_probs, rng)
-                entropies[:, i + 1] = dists.latent_entropy_np(prior_probs)
+        ctx = self.stack.discretized()
+        h = np.empty((bsz, horizon + 1, start.h.shape[1]))
+        z = np.empty((bsz, horizon + 1, c.n_cats, c.n_classes))
+        actions = np.empty((bsz, horizon, c.action_dim))
+        rewards = np.empty((bsz, horizon + 1))
+        conts = np.empty((bsz, horizon + 1))
+        entropies = np.zeros((bsz, horizon + 1))
+        h[:, 0] = start.h
+        z[:, 0] = start.z
+        if start_entropy is not None:
+            entropies[:, 0] = start_entropy
+        for i in range(horizon + 1):
+            feats = np.concatenate([h[:, i], z[:, i].reshape(bsz, c.z_flat)], axis=1)
+            rewards[:, i] = dists.symexp_np(self.reward_head.infer(feats).reshape(bsz))
+            conts[:, i] = 1.0 / (1.0 + np.exp(-self.cont_head.infer(feats).reshape(bsz)))
+            if i == horizon:
+                break
+            state = {
+                "h": h[:, i],
+                "z": z[:, i],
+                "reward": rewards[:, i],
+                "cont": conts[:, i],
+                "entropy": entropies[:, i],
+            }
+            a = act_fn(i, state)
+            actions[:, i] = a
+            h[:, i + 1], prior_probs = self.wm_step(h[:, i], z[:, i], a, ctx)
+            z[:, i + 1] = dists.sample_one_hot(prior_probs, rng)
+            entropies[:, i + 1] = dists.latent_entropy_np(prior_probs)
         return {
             "h": h,
             "z": z,

@@ -225,6 +225,19 @@ def test_actor_features_built_once_per_rollout(monkeypatch):
         np.testing.assert_array_equal(seen["feats"][:, t], ref)
 
 
+def test_acting_builds_no_tensor_once_the_step_contexts_exist(built_tensors):
+    # acting is inference: once every level holds its step context, a cycle
+    # of env steps with level-1 and level-2 emissions and a terminal builds no Tensor
+    env, agent = tiny_agent(3, depth=3, k=2)
+    drive(agent, env, 4)
+    assert all(lvl._ctx is not None for lvl in agent.levels)
+    emitted = [lvl.action_emissions for lvl in agent.levels]
+    built_tensors.clear()
+    assert drive(agent, env, 8) == 1
+    assert [lvl.action_emissions - e for lvl, e in zip(agent.levels, emitted)] == [8, 4, 2]
+    assert built_tensors == []
+
+
 def test_imagination_starts_from_the_posterior(monkeypatch):
     env, agent = tiny_agent(6, depth=1, k=2)
     drive(agent, env, 12)

@@ -33,6 +33,7 @@ OUTSIDE_CALLERS = {
     "skew_pdf": "test oracle: tests/test_replay.py",
     "simulate_process": "test oracle: tests/test_replay.py",
     "grad_check": "test oracle: the finite-difference gradient checks",
+    "no_grad": "perfbench/workloads.py: the held-out loss, a graph forward with no backward",
     "spectral_radius": "test oracle: tests/test_envs.py",
     "one_step_noise_floor": "test oracle: tests/test_learning.py",
 }

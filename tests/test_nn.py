@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, AdamW, parameters
+from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, MLP, AdamW, parameters
 from sswm.s5 import S5Params, S5Stack, discretize
 from sswm.tensor import Tensor, make_rng
 
@@ -35,6 +35,17 @@ def test_parameters_finds_each_trainable_tensor_once_in_attribute_order():
     want = [root.w, root.cfg.scale, root.blocks[0].w, root.blocks[1]["x"].w, root.blocks[1]["y"][0], root.b]
     assert all(got is tensor for got, tensor in zip(found.values(), want))
     assert parameters(np.ones(2), "a") == {} and parameters(Tensor(np.ones(2)), "t") == {}
+
+
+@pytest.mark.parametrize("n", [1, 128])
+def test_infer_equals_graph_forward(n):
+    # inference runs the numpy forwards that the graph ops call: equal bit for bit
+    mlp = MLP(make_rng(3), [12, 16, 16, 5])
+    x = make_rng(4).normal(size=(n, 12))
+    out = mlp.infer(x)
+    assert isinstance(out, np.ndarray) and out.shape == (n, 5)
+    assert np.array_equal(mlp.layers[0].infer(x), mlp.layers[0](Tensor(x)).data)
+    assert np.array_equal(out, mlp(Tensor(x)).data)
 
 
 def test_adamw_matches_bias_corrected_adam_with_clipping():

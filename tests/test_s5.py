@@ -263,19 +263,12 @@ def test_zoh_matches_composed_pair_reference():
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_discretize_tensor_count(monkeypatch):
+def test_discretize_tensor_count(built_tensors):
     # lam_bar and b_real are one node each
     params = s5.hippo_n_init(16, 2, 32, make_rng(0))
-    built = []
-    init = Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    built_tensors.clear()
     s5.discretize(params)
-    assert len(built) <= 2
+    assert len(built_tensors) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +478,11 @@ def test_two_block_stack_gradients_match_finite_differences():
     assert report.max_rel_err < 1e-5, report.per_leaf
 
 
-def test_stack_step_tensor_count(monkeypatch):
+def test_stack_step_tensor_count(built_tensors):
     # the online step is plain numpy: it builds no Tensor at all
     stack = s5.S5Stack(make_rng(0), 32, 16, 2)
     ctx = stack.discretized()
     h, u = np.zeros((1, 2 * 2 * 16)), np.ones((1, 32))
-    built = []
-    init = Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    built_tensors.clear()
     stack.step(h, u, ctx)
-    assert built == []
+    assert built_tensors == []

@@ -213,6 +213,15 @@ def test_encode_rejects_wrong_width():
     wm = make_wm()
     with pytest.raises(ConfigError, match="width"):
         wm.encode(Tensor(np.zeros((2, 7))))
+    # the acting encode too: a level above relies on it to reject a window of the wrong width
+    with pytest.raises(ConfigError, match="width"):
+        wm.encode_step(np.zeros((2, 7)))
+
+
+def test_encode_step_equals_encode():
+    wm = make_wm(seed=3)
+    obs = make_rng(4).normal(size=(3, wm.cfg.obs_dim))
+    assert np.array_equal(wm.encode_step(obs), wm.encode(Tensor(obs)).data)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +432,18 @@ def test_imagine_uniform_prior_entropy():
     traj = wm.imagine(start, zero_policy(wm.cfg), horizon=2, rng=make_rng(33))
     want = wm.cfg.n_cats * np.log(wm.cfg.n_classes)
     np.testing.assert_allclose(traj["entropy"][:, 1:], want, atol=1e-9)
+
+
+def test_imagine_builds_no_tensor_beyond_its_step_context(built_tensors):
+    # the heads and steps run in numpy; the step context is constants, no graph
+    wm = make_wm(seed=34, n_blocks=2)
+    built_tensors.clear()
+    ctx = wm.stack.discretized()
+    assert all(not t.requires_grad and t._parents == () for pair in ctx for t in pair)
+    in_ctx = len(built_tensors)
+    built_tensors.clear()
+    wm.imagine(zero_state(wm, 3), zero_policy(wm.cfg), horizon=3, rng=make_rng(35))
+    assert len(built_tensors) == in_ctx
 
 
 def test_imagine_runs_no_observation_decoder():
