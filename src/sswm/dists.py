@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .tensor import Tensor, _make, _ones, _row_sum, _softmax, _softmax_vjp, _upper_ones, add, log, mul, neg, tsum
@@ -33,9 +35,17 @@ def unimix_probs(logits: Tensor, unimix: float) -> Tensor:
     return _make(out, (logits,), lambda g: (_softmax_vjp(p, g * keep),))
 
 
+@cache
+def _eye(k: int) -> np.ndarray:
+    """Read-only (k, k) identity: its row i is the one-hot of class i."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
 def one_hot(idx: np.ndarray, k: int) -> np.ndarray:
-    """Float one-hot rows of width k for whole-number class indices: (...,) -> (..., k)."""
-    return (idx[..., None] == np.arange(k)).astype(np.float64)
+    """Float one-hot rows of width k for integer class indices in [0, k): (...,) -> (..., k), gathered from the identity."""
+    return _eye(k).take(idx, axis=0)
 
 
 def sample_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -53,7 +63,7 @@ def sample_one_hot(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     cum = probs.reshape(-1, k) @ _upper_ones(k)
     cum[:, -1] = 1.0  # guard rounding
     u = rng.random((cum.shape[0], 1))
-    return one_hot(((u > cum) @ _ones(k)).reshape(probs.shape[:-1]), k)
+    return one_hot(((u > cum) @ _ones(k)).astype(np.intp).reshape(probs.shape[:-1]), k)
 
 
 def sample_straight_through(probs: Tensor, rng: np.random.Generator) -> Tensor:

@@ -2,16 +2,14 @@
 
 Iteratively appending to a dataset and sampling uniformly oversamples old
 entries: an element in place i of a final size-n dataset is drawn
-H_n - H_i times in expectation (harmonic numbers). Two draws are provided:
-
-* ETBS O(1)         - maps a uniform draw through the closed-form CDF of the
-                      normalized skew density p_s(x) = (ln n - ln x)/Z, mixed
-                      with a plain uniform draw at temperature tau (tau = 0 is
-                      the plain uniform draw). Each draw is constant-time; over
-                      the whole add/sample process the cumulative per-index
-                      counts flatten as tau -> 1.
-* time-balanced O(n) - explicit per-index corrective weights, recomputed per
-                      draw (the reference that tests hold ETBS to).
+H_n - H_i times in expectation (harmonic numbers). The ETBS draw corrects
+for it in O(1): it maps a uniform draw through the closed-form CDF of the
+normalized skew density p_s(x) = (ln n - ln x)/Z, mixed with a plain uniform
+draw at temperature tau (tau = 0 is the plain uniform draw). Each draw is
+constant-time; over the whole add/sample process the cumulative per-index
+counts flatten as tau -> 1. The harmonic-number expectation, the skew
+density and the O(n) time-balanced sampler that ETBS is held to are test
+oracles, in tests/oracles.py.
 
 A replay sampler is an ETBS temperature: sample_batch draws all of a batch's
 starts in one etbs_indices call at sampler.tau.
@@ -22,44 +20,15 @@ Indices are 1-based ages: index 1 is the oldest element.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma
-
-from .tensor import make_rng
-
-_EULER_GAMMA = 0.5772156649015328606
-# weight floor of the O(n) baseline, so an index at or above its target count stays drawable
-BASELINE_EPS = 1e-3
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a sampler expression."""
 
 
-def harmonic(k: int | np.ndarray) -> np.ndarray | float:
-    """H_k via digamma (exact to float precision for all k >= 0)."""
-    return digamma(np.asarray(k, dtype=np.float64) + 1.0) + _EULER_GAMMA
-
-
-def expected_draws(i, n) -> np.ndarray | float:
-    """Expected draw count H_n - H_i for element i of n under iterative uniform sampling.
-
-    This is the closed-form used by the sampler derivation. The exact process
-    expectation is sum_{j=i}^{n} 1/j = H_n - H_{i-1}; the formula drops the
-    leading 1/i term (one harmonic step), which the normalized density
-    absorbs. Tests pin the exact value by brute-force simulation.
-    """
-    return harmonic(n) - harmonic(i)
-
-
 def _log_density_norm(n: float) -> float:
     """Integral of (ln n - ln x)/n over [2, n], times n (the pdf normalizer)."""
     return -2.0 * np.log(n) + n + 2.0 * np.log(2.0) - 2.0
-
-
-def skew_pdf(x, n):
-    """Normalized density p_s(x) = (ln n - ln x) / (-2 ln n + n + 2 ln 2 - 2) on [2, n]."""
-    x = np.asarray(x, dtype=np.float64)
-    return (np.log(n) - np.log(x)) / _log_density_norm(n)
 
 
 def etbs_cdf(x, n):
@@ -108,32 +77,6 @@ class UniformSampler(EtbsSampler):
 
     def __init__(self):
         super().__init__(0.0)
-
-
-class TimeBalancedBaseline:
-    """O(n) corrective sampler: explicit per-index weights, recomputed per draw.
-
-    Keeps cumulative draw counts and weights each index by how far it lags the
-    uniform target count. Linear cost, one index per call; simulate_process
-    and the tests use it as the reference the O(1) sampler approximates.
-    """
-
-    def __init__(self):
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.total = 0
-
-    def sample(self, n: int, rng: np.random.Generator) -> int:
-        if n > self.counts.size:
-            grown = np.zeros(n, dtype=np.int64)
-            grown[: self.counts.size] = self.counts
-            self.counts = grown
-        target = (self.total + 1) / n
-        w = np.maximum(BASELINE_EPS, target - self.counts[:n])
-        w = w / w.sum()
-        idx = int(rng.choice(n, p=w)) + 1
-        self.counts[idx - 1] += 1
-        self.total += 1
-        return idx
 
 
 class ExperienceDataset:
@@ -209,28 +152,3 @@ class ExperienceDataset:
             "reset": self.reset[gather],
             "start": starts,
         }
-
-
-def simulate_process(n: int, sampler_name: str, tau: float, reps: int, seed: int) -> np.ndarray:
-    """Run the add-one-then-sample-once process to size n; per-index draw counts.
-
-    Vectorized across replications for etbs (uniform is etbs at tau = 0);
-    the O(n) baseline keeps per-replication count state, so it runs
-    rep-by-rep (use modest n).
-    """
-    rng = make_rng(seed, stream=77)
-    counts = np.zeros((reps, n), dtype=np.int64)
-    rows = np.arange(reps)
-    if sampler_name == "etbs":
-        for t in range(1, n + 1):
-            idx = etbs_indices(t, tau, rng, reps)
-            counts[rows, idx - 1] += 1
-        return counts
-    if sampler_name == "tb_baseline":
-        for r in range(reps):
-            sampler = TimeBalancedBaseline()
-            for t in range(1, n + 1):
-                idx = sampler.sample(t, rng)
-                counts[r, idx - 1] += 1
-        return counts
-    raise DomainError(f"unknown sampler {sampler_name!r}")

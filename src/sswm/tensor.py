@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -89,8 +88,6 @@ __all__ = [
     "reshape",
     "l2_norm",
     "linear_recurrence",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 # gelu's constants are 0-d arrays: numpy 2 takes one through a ufunc faster
@@ -247,7 +244,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise _broadcast_error("add", a, b) from None
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), vjp)
 
@@ -259,7 +259,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise _broadcast_error("mul", a, b) from None
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), vjp)
 
@@ -581,83 +584,3 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
         return _real(glam), _real(gd), _real(acc)
 
     return _make(_real(xs), (lam, drive, x0), vjp)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    """Comparison of backward gradients against central finite differences."""
-
-    max_rel_err: float = 0.0
-    max_abs_err: float = 0.0
-    per_leaf: dict = field(default_factory=dict)
-
-
-def grad_check(
-    fn,
-    leaves: dict[str, Tensor],
-    epsilon: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Check d fn / d leaf against central finite differences.
-
-    fn must rebuild its graph on every call and return a scalar Tensor. When
-    max_coords is set, only that many randomly chosen coordinates per leaf are
-    probed (full sweep otherwise). Relative error is measured against the
-    larger coordinate magnitude, floored at 0.1% of the largest gradient seen
-    across all leaves: central differences carry roundoff noise proportional
-    to the loss scale, so near-zero coordinates cannot be resolved tighter.
-    """
-    if epsilon <= 0:
-        raise ValueError("grad_check: epsilon must be positive")
-    for leaf in leaves.values():
-        leaf.grad = None
-    fn().backward()
-    analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data)) for name, t in leaves.items()}
-
-    by_leaf: dict[str, list[tuple[float, float]]] = {}
-    for name, leaf in leaves.items():
-        flat = leaf.data.flat  # writes through, whatever the memory order
-        n = leaf.data.size
-        if max_coords is not None and n > max_coords:
-            if rng is None:
-                rng = make_rng(0)
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
-        pairs = []
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = float(fn().data)
-            flat[i] = orig - epsilon
-            f_minus = float(fn().data)
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
-            an = analytic[name].reshape(-1)[i]
-            pairs.append((float(an), fd))
-        by_leaf[name] = pairs
-
-    scale = max(
-        (max(abs(an), abs(fd)) for pairs in by_leaf.values() for an, fd in pairs),
-        default=0.0,
-    )
-    floor = max(1e-6, 1e-3 * scale)
-    report = GradCheckReport()
-    for name, pairs in by_leaf.items():
-        worst_rel = 0.0
-        worst_abs = 0.0
-        for an, fd in pairs:
-            abs_err = abs(an - fd)
-            rel_err = abs_err / max(abs(an), abs(fd), floor)
-            worst_rel = max(worst_rel, rel_err)
-            worst_abs = max(worst_abs, abs_err)
-        report.per_leaf[name] = {"max_rel_err": worst_rel, "max_abs_err": worst_abs}
-        report.max_rel_err = max(report.max_rel_err, worst_rel)
-        report.max_abs_err = max(report.max_abs_err, worst_abs)
-    return report

@@ -1,11 +1,15 @@
 """The package's public surface: every tensor op and every definition has a caller, every script resolves,
-the benchmark finds every name it imports or traces and runs one operation of each listed workload, and
-trailing-axis reductions, complex layout conversions and parameter lists have one form each."""
+the benchmark finds every name it imports or traces and runs one operation of each listed workload,
+trailing-axis reductions, complex layout conversions and parameter lists have one form each, and the
+package loads nothing beyond the standard library and its declared runtime dependencies."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -16,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sswm"
 
 # The autodiff engine itself, public whether or not a module imports it.
-ENGINE_API = {"Tensor", "ShapeError", "GraphError", "no_grad", "make_rng", "grad_check", "GradCheckReport"}
+ENGINE_API = {"Tensor", "ShapeError", "GraphError", "no_grad", "make_rng"}
 
 
 # Definitions that nothing in src/sswm/ calls, each with the caller outside it.
@@ -29,10 +33,6 @@ OUTSIDE_CALLERS = {
     "train_due_levels": "driver protocol: the training loop",
     "UniformSampler": "driver protocol: the plain replay sampler",
     "set_random_phase": "perfbench/workloads.py: the random prefill",
-    "expected_draws": "test oracle: tests/test_replay.py",
-    "skew_pdf": "test oracle: tests/test_replay.py",
-    "simulate_process": "test oracle: tests/test_replay.py",
-    "grad_check": "test oracle: the finite-difference gradient checks",
     "no_grad": "perfbench/workloads.py: the held-out loss, a graph forward with no backward",
     "spectral_radius": "test oracle: tests/test_envs.py",
     "one_step_noise_floor": "test oracle: tests/test_learning.py",
@@ -163,6 +163,25 @@ def test_project_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name} -> {target} is not callable"
+
+
+def test_package_imports_only_the_standard_library_and_its_runtime_dependencies():
+    # a fresh interpreter, so that the modules this test session has loaded
+    # (scipy among them, for the oracles) cannot hide one that sswm loads
+    modules = sorted(f"sswm.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__")
+    script = (
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    allowed = {"sswm"} | {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in dependencies}
+    foreign = [name for name in json.loads(out.stdout) if name not in sys.stdlib_module_names and name not in allowed]
+    assert not foreign, f"sswm imports modules outside the standard library and {sorted(allowed)}: {foreign}"
 
 
 def _load_by_path(path: Path, monkeypatch):

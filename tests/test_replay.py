@@ -4,19 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from sswm import replay
-from sswm.replay import (
-    DomainError,
-    EtbsSampler,
-    ExperienceDataset,
-    TimeBalancedBaseline,
-    UniformSampler,
-    etbs_cdf,
-    etbs_indices,
-    expected_draws,
-    simulate_process,
-    skew_pdf,
-)
+from oracles import TimeBalancedBaseline, expected_draws, simulate_process, skew_pdf
+from sswm.replay import DomainError, EtbsSampler, ExperienceDataset, UniformSampler, etbs_cdf, etbs_indices
 from sswm.tensor import make_rng
 
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import grad_check
 from sswm import s5
 from sswm import tensor as T
 from sswm.nn import parameters
-from sswm.tensor import Tensor, add, grad_check, make_rng, mul, tsum
+from sswm.tensor import Tensor, add, make_rng, mul, tsum
 
 
 def dense_normal_hippo_oracle(n: int) -> np.ndarray:

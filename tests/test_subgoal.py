@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import grad_check
 from sswm.envs import TwoLevelGridworld
 from sswm.nn import AdamW, parameters
 from sswm.subgoal import KL_BETA, SubgoalAutoencoder, SubgoalConfig
-from sswm.tensor import Tensor, grad_check, make_rng
+from sswm.tensor import Tensor, make_rng
 
 
 def make_ae(seed=0, h_width=6, n_codes=2, code_size=4, units=16):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from oracles import grad_check
 from sswm import dists
 from sswm import tensor as T
-from sswm.tensor import GraphError, ShapeError, Tensor, grad_check, make_rng
+from sswm.tensor import GraphError, ShapeError, Tensor, make_rng
 
 
 def _leaf(rng, shape):
@@ -146,6 +147,19 @@ def test_detach_blocks_gradient():
     loss = T.tsum(T.mul(x.detach(), x))
     loss.backward()
     np.testing.assert_allclose(x.grad, [2.0])  # only the live branch
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+def test_vjp_computes_no_gradient_for_a_constant_operand(op):
+    x = Tensor([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
+    c = Tensor([4.0, -1.5])
+    g = np.array([[0.25, 2.0], [-1.0, 3.0]])
+    gx, gc = op(x, c)._vjp(g)
+    assert gc is None
+    np.testing.assert_array_equal(gx, g * c.data if op is T.mul else g)
+    gc, gx = op(c, x)._vjp(g)
+    assert gc is None
+    np.testing.assert_array_equal(gx, g * c.data if op is T.mul else g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import grad_check
 from sswm import dists
 from sswm.agent import build_agent
 from sswm.s5 import ConfigError
-from sswm.tensor import Tensor, add, grad_check, make_rng, mul, softmax, tsum
+from sswm.tensor import Tensor, add, make_rng, mul, softmax, tsum
 from sswm.worldmodel import A_DYN, A_REP, UNIMIX, LatentState, WmConfig, WorldModel
 
 
