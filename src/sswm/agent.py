@@ -176,15 +176,10 @@ class Subactor:
         self.h = np.zeros((1, self.wm.h_width))
         self.z = np.zeros((1, wm_cfg.n_cats, wm_cfg.n_classes))
         self.a_prev = np.zeros((1, wm_cfg.action_dim))
-        self.goal_codes = np.zeros((sg_cfg.n_codes, sg_cfg.code_size))
+        # the held goal as the policy sees it: the level above's one-hot codes, flattened
+        self.goal = np.zeros(sg_cfg.flat)
         self._ctx = None
         self.action_emissions = 0
-
-    # -- goal plumbing -------------------------------------------------------
-
-    def goal_feature(self) -> np.ndarray:
-        """The held goal as the policy sees it: its flattened codes."""
-        return self.goal_codes.reshape(-1)
 
     # -- interaction ----------------------------------------------------------
 
@@ -225,7 +220,7 @@ class Subactor:
         self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
         self.h = h_t
         self.z = z_t
-        return self._features(self.h, z_t, self.goal_feature(), np.array([reward]), np.array([cont]), entropy)
+        return self._features(self.h, z_t, self.goal, np.array([reward]), np.array([cont]), entropy)
 
     def choose_action(self, feats: np.ndarray, rng, random_action: bool) -> np.ndarray:
         """Pick an action one-hot matrix, uniformly or from the policy, and remember it as a_prev."""
@@ -273,24 +268,23 @@ class Subactor:
         z = wm_out["z"].data
         start = LatentState(h=wm_out["h"].data.reshape(n, self.wm.h_width), z=z.reshape(n, *z.shape[2:]))
         start_entropy = dists.latent_entropy_np(wm_out["prior_probs"].data)
-        goal_vec = self.goal_feature()
         hp1 = horizon + 1
         feats = np.empty((n, hp1, self.ac.cfg.feat_width))
 
         def act_fn(i, state):
-            f = self._features(state["h"], state["z"], goal_vec, state["reward"], state["cont"], state["entropy"])
+            f = self._features(state["h"], state["z"], self.goal, state["reward"], state["cont"], state["entropy"])
             feats[:, i] = f
             return self.ac.act(f, rng).reshape(n, -1)
 
         traj = self.wm.imagine(start, act_fn, horizon, rng, start_entropy=start_entropy)
         feats[:, horizon] = self._features(
-            traj["h"][:, horizon], traj["z"][:, horizon], goal_vec,
+            traj["h"][:, horizon], traj["z"][:, horizon], self.goal,
             traj["reward"][:, horizon], traj["cont"][:, horizon], traj["entropy"][:, horizon],
         )
         nov = self.ae.novelty(traj["h"].reshape(n * hp1, -1), rng).reshape(n, hp1)
         rewards = {"extr": traj["reward"], "nov": nov}
         if "g" in self.ac.mix:
-            rewards["g"] = subgoal_reward(self.ae.decoder.infer(goal_vec[None])[0], traj["h"])
+            rewards["g"] = subgoal_reward(self.ae.decoder.infer(self.goal[None])[0], traj["h"])
         actions = traj["action"].reshape(n, horizon, self.ac.cfg.action_groups, self.ac.cfg.action_classes)
         total, report = reinforce_loss(self.ac, feats, actions, rewards, traj["cont"])
         total.backward()
@@ -389,7 +383,7 @@ class HierarchicalAgent:
         self._windows[i - 1] = _Window()
         # k flattened snapshots side by side; encode rejects a window of any other width
         goal = self._step_level(i, np.concatenate(win.states), win.reward, win.cont, win.reset)
-        self.levels[i - 1].goal_codes = goal
+        self.levels[i - 1].goal = goal.reshape(-1)
         if i < self.depth - 1:
             self._windows[i].add(win.reward, win.cont)
 

@@ -79,6 +79,9 @@ class UniformSampler(EtbsSampler):
         super().__init__(0.0)
 
 
+INITIAL_ROWS = 16  # rows a dataset holds before its first grow; each grow doubles them
+
+
 class ExperienceDataset:
     """Append-only store of environment transitions with episode bookkeeping.
 
@@ -91,12 +94,12 @@ class ExperienceDataset:
     sampling reads a consistent snapshot of the current size.
     """
 
-    def __init__(self, obs_dim: int, action_dim: int, capacity: int = 1024):
-        self.obs = np.zeros((capacity, obs_dim), dtype=np.float64)
-        self.action = np.zeros((capacity, action_dim), dtype=np.float64)
-        self.reward = np.zeros(capacity, dtype=np.float64)
-        self.cont = np.zeros(capacity, dtype=np.float64)
-        self.reset = np.zeros(capacity, dtype=bool)
+    def __init__(self, obs_dim: int, action_dim: int):
+        self.obs = np.zeros((INITIAL_ROWS, obs_dim), dtype=np.float64)
+        self.action = np.zeros((INITIAL_ROWS, action_dim), dtype=np.float64)
+        self.reward = np.zeros(INITIAL_ROWS, dtype=np.float64)
+        self.cont = np.zeros(INITIAL_ROWS, dtype=np.float64)
+        self.reset = np.zeros(INITIAL_ROWS, dtype=bool)
         self.n = 0
         self._last_episode: int | None = None
 

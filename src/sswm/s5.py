@@ -2,33 +2,35 @@
 
 A layer is a diagonal complex linear recurrence x_t = lam_bar*x_{t-1} + b_bar*u_t
 with real readout y_t = Re(C x_t) + D u_t, discretized from a continuous system
-by zero-order hold with a learned per-state timescale. The zero state is the
-one start state: training windows start from it, and episode boundaries inside
-a window reset the state to it by gating the decay term, so training sequences
-may span episodes without leaking history across them. That gate is the only
-reset mechanism; an online step has none, and its caller resets by carrying
-the zero state in. Only the optimizer moves the timescale, unbounded: the
-zero-order hold is exact for every delta > 0.
+by zero-order hold with a learned per-state timescale. A scan starts from a
+state that its caller passes as a constant ndarray, zeros at rest; episode
+boundaries inside a window reset the state to zero by gating the decay term,
+so training sequences may span episodes without leaking history across them.
+That gate is the only reset mechanism; an online step has none, and its
+caller resets by carrying the zero state in. Only the optimizer moves the
+timescale, unbounded: the zero-order hold is exact for every delta > 0.
 
-The recurrence has one graph implementation, a sequential scan with an
-analytic adjoint (tensor.linear_recurrence), which training runs over whole
-windows from the zero state. Online stepping is never differentiated, so it
-is plain numpy with no graph: the same arithmetic at one step, resumed from
-the carried state, with the layer norm and GELU forwards that the graph ops
-call too, so it equals the sequence pass at T=1 bit for bit. Its step context
-holds, per block, the zero-order hold's (lam_bar, b_real): the diagonal and
-the real drive matrix, so a step builds neither. The readout matrix is the
-parameter c_mat itself. Complex values have one real layout, numpy's own
-complex128 memory: each row holds P interleaved (Re, Im) pairs, width 2P,
-and tensor's `_complex` and `_real` convert by a view. The input and output
-matrices are stored in it, the zero-order hold produces lam_bar and the drive
-matrix in it as two graph nodes with analytic VJPs, and states keep it from
-the drive through the scan to the readout; concatenated over blocks, they are
-the deterministic part h_t of a world-model state. A block is pre-norm ->
-drive matmul -> scan -> readout matmul plus D feedthrough -> GELU ->
-residual add, eight graph nodes in training with no layout conversion
-between them. S5Stack holds its blocks as two per-block lists, the SSM
-parameters and the layer norms.
+Three entries, one per job. `scan_sequential(params, u, gates, x0)` runs one
+SSM over a window as graph nodes: the zero-order hold, then the sequential
+scan with an analytic adjoint (tensor.linear_recurrence). `S5Stack.forward(u,
+resets, h0)` runs the stack over a window from the carried state h0, as
+training does from zeros. `S5Stack.step(h_prev, u, ctx)` is one online step
+in plain numpy, never differentiated; its context, `S5Stack.discretized()`,
+holds per block the zero-order hold's arrays (lam_bar, b_real), and the
+readout matrix is the parameter c_mat itself. The hold has one numpy forward,
+`_zoh`, which discretize's graph nodes call too; with the layer norm and GELU
+forwards of the graph ops, a step equals forward at T=1 bit for bit.
+
+Complex values have one real layout, numpy's own complex128 memory: each row
+holds P interleaved (Re, Im) pairs, width 2P, and tensor's `_complex` and
+`_real` convert by a view. The input and output matrices are stored in it,
+the zero-order hold produces lam_bar and the drive matrix in it as two graph
+nodes with analytic VJPs, and states keep it from the drive through the scan
+to the readout; concatenated over blocks, they are the deterministic part
+h_t of a world-model state. A block is pre-norm -> drive matmul -> scan ->
+readout matmul plus D feedthrough -> GELU -> residual add, eight graph nodes
+in training with no layout conversion between them. S5Stack holds its blocks
+as two per-block lists, the SSM parameters and the layer norms.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LN_EPS, LayerNorm
-from .tensor import Tensor, _complex, _gelu, _layer_norm, _make, _real, add, concat, gelu, linear_recurrence, matmul, mul, tslice
+from .tensor import Tensor, _complex, _gelu, _layer_norm, _make, _real, add, concat, gelu, linear_recurrence, matmul, mul
 
 INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
 
@@ -134,16 +136,8 @@ def hippo_n_init(
     )
 
 
-def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
-    """Zero-order hold: lam_bar = exp(delta*lam) and b_bar = ((lam_bar-1)/lam)*B.
-
-    Returns (lam_bar, b_real): lam_bar (2P,), and b_real (H, 2P), the drive
-    matrix b_bar^T, each viewed as interleaved (Re, Im) pairs, so u @ b_real
-    is the drive b_bar u. Each is one graph node with an analytic VJP onto
-    log_neg_re, im and log_delta (and b_mat for b_real). b_real's VJP reads
-    b_mat through a view, not a copy: run backward before the optimizer
-    updates b_mat in place.
-    """
+def _zoh(params: S5Params) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The zero-order hold's numpy forward: (lam, delta, lam_bar, coef), each (P,), with b_bar = coef * B."""
     lam = params.lam_value()  # (P,) complex
     abs2 = lam.real * lam.real + lam.imag * lam.imag
     if abs2.min() < 1e-24:
@@ -152,6 +146,20 @@ def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
     bar = np.exp(lam * delta)
     # (lam_bar - 1) / lam, taken as (lam_bar - 1) * conj(lam) / |lam|^2
     coef = (bar - 1.0) * (np.conj(lam) * np.exp(-np.log(abs2)))
+    return lam, delta, bar, coef
+
+
+def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
+    """Zero-order hold: lam_bar = exp(delta*lam) and b_bar = ((lam_bar-1)/lam)*B.
+
+    Returns (lam_bar, b_real): lam_bar (2P,), and b_real (H, 2P), the drive
+    matrix b_bar^T, each viewed as interleaved (Re, Im) pairs, so u @ b_real
+    is the drive b_bar u. Each is one graph node with an analytic VJP onto
+    log_neg_re, im and log_delta (and b_mat for b_real), its value from
+    _zoh. b_real's VJP reads b_mat through a view, not a copy: run backward
+    before the optimizer updates b_mat in place.
+    """
+    lam, delta, bar, coef = _zoh(params)
     b_t = _complex(params.b_mat.data)  # B^T, (H, P), a view of b_mat
     lam_params = (params.log_neg_re, params.im, params.log_delta)
 
@@ -175,23 +183,17 @@ def discretize(params: S5Params) -> tuple[Tensor, Tensor]:
     return lam_bar, b_real
 
 
-def scan_sequential(
-    params: S5Params,
-    u: Tensor,
-    gates: np.ndarray,
-    disc: tuple[Tensor, Tensor],
-    x0: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """Recurrent scan. u: (B,T,H); gates: (B,T) float, 1 - resets.
+def scan_sequential(params: S5Params, u: Tensor, gates: np.ndarray, x0: np.ndarray) -> tuple[Tensor, Tensor]:
+    """One SSM's recurrent scan, differentiable. u: (B,T,H); gates: (B,T) float, 1 - resets.
 
     Returns internal states x (B,T,2P), each row the interleaved pairs
     (Re x_t, Im x_t), and outputs y_t = Re(C x_t) + D u_t (B,T,H), read out
     through c_mat. A gate of 0 (a reset) at step t zeroes the carried state
-    before that step's update. The scan starts from x0 (B,2P), laid out
-    alike: zeros for the start state. disc is (lam_bar, b_real) =
-    discretize(params), which the caller builds.
+    before that step's update. The scan starts from the constant ndarray x0
+    (B,2P), laid out alike: zeros for the start state. The zero-order hold
+    is built here, by discretize(params).
     """
-    lam_bar, b_real = disc
+    lam_bar, b_real = discretize(params)
     x = linear_recurrence(lam_bar, matmul(u, b_real), gates, x0)
     y = add(matmul(x, params.c_mat), mul(u, params.d_vec))
     return x, y
@@ -212,61 +214,55 @@ class S5Stack:
         self.ssms = [hippo_n_init(state_dim, INIT_BLOCKS, width, rng) for _ in range(n_blocks)]
         self.norms = [LayerNorm(width) for _ in range(n_blocks)]
 
-    def _run(self, u: Tensor, gates: np.ndarray, discretized, x0: Tensor) -> tuple[Tensor, Tensor]:
-        """Every block over (B,T,H) inputs and (B,T) gates from the start state x0 (B, n_blocks*2P).
+    def forward(self, u: Tensor, resets, h0: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Full-sequence pass over u (B,T,H) and resets (B,T), from the carried state h0.
 
-        Block i starts from its own slice of x0. Returns the last block's
-        outputs m and the states: per block the interleaved (Re x_t, Im x_t)
-        pairs, concatenated over blocks into (B, T, n_blocks*2P).
+        h0 (B, n_blocks*2P) is a constant ndarray in h's layout: block i starts
+        from its columns i*2P:(i+1)*2P. Resets inside the window return a row
+        to the zero state through the gates 1 - resets, built once for all
+        blocks. Returns (m, h): the last block's outputs, and per block the
+        interleaved (Re x_t, Im x_t) pairs concatenated into (B, T, n_blocks*2P).
         """
+        gates = 1.0 - np.asarray(resets, dtype=np.float64)
         w = 2 * self.state_dim
         h_parts = []
-        for i, (ssm, norm, disc) in enumerate(zip(self.ssms, self.norms, discretized)):
-            x0_i = tslice(x0, (slice(None), slice(i * w, (i + 1) * w)))
-            x, y = scan_sequential(ssm, norm(u), gates, disc, x0_i)
+        for i, (ssm, norm) in enumerate(zip(self.ssms, self.norms)):
+            x, y = scan_sequential(ssm, norm(u), gates, h0[:, i * w : (i + 1) * w])
             u = add(u, gelu(y))
             h_parts.append(x)
         return u, concat(h_parts, axis=2)
 
-    def forward(self, u: Tensor, resets) -> tuple[Tensor, Tensor]:
-        """Full-sequence pass over u (B,T,H) and resets (B,T).
+    def discretized(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The step context: per block the ndarrays (lam_bar complex (P,), b_real (H, 2P)).
 
-        Every block starts from the zero start state; resets inside the
-        window return a row to it, through the gates 1 - resets, built once
-        for all blocks. Returns (m, h): outputs and deterministic states.
+        They are discretize's values, taken from _zoh without a Tensor. The
+        context depends on parameters only; step() callers build it once,
+        reuse it over many steps and rebuild it after every parameter update.
         """
-        zero = Tensor(np.zeros((u.shape[0], len(self.ssms) * 2 * self.state_dim)))
-        return self._run(u, 1.0 - np.asarray(resets, dtype=np.float64), [discretize(ssm) for ssm in self.ssms], zero)
+        ctx = []
+        for ssm in self.ssms:
+            _, _, lam_bar, coef = _zoh(ssm)
+            ctx.append((lam_bar, _real(_complex(ssm.b_mat.data) * coef)))
+        return ctx
 
-    def discretized(self) -> list[tuple[Tensor, Tensor]]:
-        """The step context: per block (lam_bar, b_real) from discretize, as constants.
-
-        discretize runs on detached views of the parameters, so building the
-        context records no graph node. It depends on parameters only; step()
-        callers build it once and reuse it over many steps, and rebuild it
-        after every parameter update. The readout needs no entry: it is the
-        parameter c_mat itself.
-        """
-        return [discretize(S5Params(**{name: p.detach() for name, p in vars(ssm).items()})) for ssm in self.ssms]
-
-    def step(self, h_prev: np.ndarray, u: np.ndarray, ctx: list[tuple[Tensor, Tensor]]) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, h_prev: np.ndarray, u: np.ndarray, ctx: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         """One online step in plain numpy, resumed from h_prev; it records no graph.
 
         h_prev: (B, n_blocks*2P) holds each block's interleaved (Re x, Im x)
         pairs, the layout forward() returns; a zero h_prev is the start
         state, so a caller resets a row by zeroing it. u: (B,H). Returns the
         ndarrays (m, h), h in h_prev's layout. ctx is the step context,
-        self.discretized(): per block (lam_bar, b_real), built once and
-        reused over many steps. Each block is _run's at T=1, computed by the
-        graph ops' own numpy forwards, so (m, h) equal _run's bit for bit.
+        self.discretized(), read as arrays. Each block is forward's at T=1
+        from h0 = h_prev, computed by the graph ops' own numpy forwards, so
+        (m, h) equal forward's bit for bit.
         """
         w = 2 * self.state_dim
         h = np.empty((u.shape[0], len(self.ssms) * w))
         for i, (ssm, norm, (lam_bar, b_real)) in enumerate(zip(self.ssms, self.norms, ctx)):
             cols = slice(i * w, (i + 1) * w)
             un = _layer_norm(u, norm.scale.data, norm.shift.data, LN_EPS)[0]
-            x = _complex(lam_bar.data) * _complex(h_prev[:, cols])
-            x += _complex(un @ b_real.data)
+            x = lam_bar * _complex(h_prev[:, cols])
+            x += _complex(un @ b_real)
             x_real = _real(x)
             h[:, cols] = x_real
             y = x_real @ ssm.c_mat.data

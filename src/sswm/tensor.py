@@ -31,7 +31,8 @@ axis of width 2P holding P interleaved pairs
 (Re x_0, Im x_0, Re x_1, Im x_1, ...), the layout of linear_recurrence's
 diagonal, drive, start state and states. Converting in either direction is a
 view (`_complex`, `_real`), not a copy. The start state is always passed, as
-a value: zeros start a scan from rest.
+a constant ndarray like the gates, so no gradient flows into it: zeros start
+a scan from rest.
 
 `_make(data, parents, vjp)` is the one way to add a fused node, here or in
 another module: the node's value is computed in numpy, and the VJP maps the
@@ -531,14 +532,14 @@ def _real(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.float64)
 
 
-def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor) -> Tensor:
+def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: np.ndarray) -> Tensor:
     """Gated diagonal complex recurrence x_t = gate_t * lam * x_{t-1} + drive_t.
 
     lam: (2P,) and drive: (B, T, 2P), each a row of P interleaved
-    (Re, Im) pairs; gates: (B, T) float 0/1 array (constant, 0 resets the
-    state). Returns x: (B, T, 2P) in the same layout, a view of the complex
-    states, starting from the state x0: (B, 2P), laid out alike (zeros for
-    the start state); a gate of 0 at t=0 drops x0. The whole scan is one
+    (Re, Im) pairs; gates: (B, T) float 0/1 array (0 resets the state).
+    Returns x: (B, T, 2P) in the same layout, a view of the complex states,
+    starting from the constant x0: (B, 2P), laid out alike (zeros for the
+    start state); a gate of 0 at t=0 drops x0. The whole scan is one
     graph node with an analytically derived adjoint, which is exactly
     backpropagation through time over the unrolled recurrence.
 
@@ -547,8 +548,7 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
     loop writes each state in place. The adjoint's loop carries only the
     accumulator acc_t = w_t + conj(decay_{t+1}) * acc_{t+1}, which is the
     drive's adjoint; lam's adjoint is one reduction after the loop, the sum
-    over all B * T rows of gate_t * conj(x_{t-1}) * acc_t, and x0's is the
-    accumulator carried past t=0, conj(decay_0) * acc_0. The loops run on
+    over all B * T rows of gate_t * conj(x_{t-1}) * acc_t. The loops run on
     complex values: a loop over the real and imaginary parts was measured
     slower at training shapes (2x at B=8, T=16).
     """
@@ -565,7 +565,7 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
     dc = _complex(drive.data)  # (B, T, P)
     decay = gates[..., None] * _complex(lam.data)  # (B, T, P)
     xs = np.empty((B, T, P), dtype=np.complex128)
-    x = x_init = _complex(x0.data)
+    x = x_init = _complex(x0)
     for t in range(T):
         x = np.multiply(decay[:, t], x, out=xs[:, t])
         x += dc[:, t]
@@ -577,10 +577,11 @@ def linear_recurrence(lam: Tensor, drive: Tensor, gates: np.ndarray, x0: Tensor)
         acc = np.zeros((B, P), dtype=np.complex128)
         for t in range(T - 1, -1, -1):
             acc = np.add(w[:, t], acc, out=gd[:, t])
-            acc = decay_conj[:, t] * acc
+            if t:
+                acc = decay_conj[:, t] * acc
         x_prev = np.concatenate((x_init[:, None], xs[:, :-1]), axis=1)
         terms = np.conj(x_prev) * gd * gates[..., None]
         glam = terms.reshape(B * T, P).sum(axis=0)
-        return _real(glam), _real(gd), _real(acc)
+        return _real(glam), _real(gd)
 
-    return _make(_real(xs), (lam, drive, x0), vjp)
+    return _make(_real(xs), (lam, drive), vjp)

@@ -150,6 +150,8 @@ class WorldModel:
         (z_{t-1}, a_{t-1}) and yields (m_t, h_t) aligned with obs[t]. z is a
         straight-through sample of the posterior probabilities, so the KL
         terms and the sample send their gradients into one posterior node.
+        Every window starts from the zero start state, which the S5 stack
+        takes as its h0.
         """
         bsz, t_len, _ = obs.shape
         if t_len < 2:
@@ -157,7 +159,7 @@ class WorldModel:
         post_probs = self.encode(Tensor(obs.reshape(bsz * t_len, self.cfg.obs_dim)))
         z = reshape(dists.sample_straight_through(post_probs, rng), (bsz, t_len, self.cfg.n_cats, self.cfg.n_classes))
         u = self._seq_inputs(z, action, resets)
-        m, h = self.stack.forward(u, resets)
+        m, h = self.stack.forward(u, resets, np.zeros((bsz, self.h_width)))
         n = bsz * t_len
         feats = concat([reshape(h, (n, self.h_width)), reshape(z, (n, self.cfg.z_flat))], axis=1)
         return {
@@ -210,7 +212,7 @@ class WorldModel:
 
     # -- stepwise interface ---------------------------------------------------
 
-    def wm_step(self, h_prev: np.ndarray, z_prev: np.ndarray, a_prev: np.ndarray, ctx: list[tuple[Tensor, Tensor]]) -> tuple[np.ndarray, np.ndarray]:
+    def wm_step(self, h_prev: np.ndarray, z_prev: np.ndarray, a_prev: np.ndarray, ctx: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         """One sequence-model step: (h_{t-1}, z_{t-1}, a_{t-1}) -> (h_t, prior probabilities p(z_t|m_t)).
 
         ndarrays in and out, and no Tensor is built: in_proj and the prior's
@@ -218,7 +220,8 @@ class WorldModel:
         z_prev: (B, n_cats, n_classes) one-hots (flattened internally). A row
         starts an episode from all-zero h_prev, z_prev and a_prev, the start
         state, so a caller resets it by zeroing them. ctx is the S5 step
-        context, self.stack.discretized(), reused over many steps.
+        context, self.stack.discretized(): per block two ndarrays, built
+        without a Tensor and reused over many steps.
         """
         n, c = h_prev.shape[0], self.cfg
         u = np.concatenate([z_prev.reshape(n, c.z_flat), a_prev], axis=1)
@@ -234,8 +237,8 @@ class WorldModel:
         state_dict carries h, z, reward, cont, entropy (all numpy). There is
         deliberately no observation input anywhere on this path, and the
         observation decoder does not run. The heads run by their `infer`
-        forwards and the steps by wm_step, so the only Tensors built are the
-        step context's; the returned trajectory is plain numpy.
+        forwards, the steps by wm_step from one step context of ndarrays, so
+        no Tensor is built; the returned trajectory is plain numpy.
         """
         if horizon < 1:
             raise ConfigError("imagination horizon must be >= 1")

@@ -17,6 +17,7 @@ from sswm.agent import (
     TOP_MIX,
     AcConfig,
     ActorCritic,
+    HierarchicalAgent,
     Subactor,
     build_agent,
     lambda_returns,
@@ -24,9 +25,11 @@ from sswm.agent import (
     subgoal_reward,
 )
 from sswm.envs import make_env
-from sswm.nn import parameters
+from sswm.nn import MLP, parameters
 from sswm.replay import EtbsSampler
+from sswm.s5 import S5Stack
 from sswm.tensor import Tensor, add, make_rng, mul, neg, reshape, tmean
+from sswm.worldmodel import LatentState
 
 TINY = dict(
     wm_kwargs=dict(n_cats=2, n_classes=4, model_dim=8, state_dim=4, mlp_units=8),
@@ -219,23 +222,72 @@ def test_actor_features_built_once_per_rollout(monkeypatch):
     assert lvl.train_step(2, 3, EtbsSampler(0.3), horizon, make_rng(6, stream=2)) is not None
     assert len(calls) == horizon + 1
     # the features the loss sees equal those rebuilt from the finished rollout, state by state
-    traj, goal_vec = seen["traj"], lvl.goal_feature()
+    traj = seen["traj"]
     for t in range(horizon + 1):
-        ref = features(traj["h"][:, t], traj["z"][:, t], goal_vec, traj["reward"][:, t], traj["cont"][:, t], traj["entropy"][:, t])
+        ref = features(traj["h"][:, t], traj["z"][:, t], lvl.goal, traj["reward"][:, t], traj["cont"][:, t], traj["entropy"][:, t])
         np.testing.assert_array_equal(seen["feats"][:, t], ref)
 
 
-def test_acting_builds_no_tensor_once_the_step_contexts_exist(built_tensors):
-    # acting is inference: once every level holds its step context, a cycle
-    # of env steps with level-1 and level-2 emissions and a terminal builds no Tensor
+@pytest.mark.parametrize("case", ["stack_step", "wm_step", "imagine", "act", "novelty", "acting", "acting_after_training"])
+def test_inference_builds_no_tensor(case, built_tensors):
+    # inference is plain numpy: each entry point, with its step context built
+    # in the call, constructs no Tensor at all
     env, agent = tiny_agent(3, depth=3, k=2)
-    drive(agent, env, 4)
-    assert all(lvl._ctx is not None for lvl in agent.levels)
-    emitted = [lvl.action_emissions for lvl in agent.levels]
+    lvl, rng, n = agent.levels[0], make_rng(3, stream=2), 4
+    wm = lvl.wm
+    h = rng.normal(size=(n, wm.h_width))
+    z = dists.sample_one_hot(np.full((n, wm.cfg.n_cats, wm.cfg.n_classes), 1.0 / wm.cfg.n_classes), rng)
+    if case == "acting_after_training":
+        drive(agent, env, 16)
+        assert set(agent.train_due_levels(2, 3, lambda level: EtbsSampler(0.3), 2, rng)) == {0, 1, 2}
+        assert all(level._ctx is None for level in agent.levels)  # acting rebuilds every step context
+
+    def policy(i, state):
+        feats = lvl._features(state["h"], state["z"], lvl.goal, state["reward"], state["cont"], state["entropy"])
+        return lvl.ac.act(feats, rng).reshape(n, -1)
+
+    calls = {
+        "stack_step": lambda: wm.stack.step(h, rng.normal(size=(n, wm.cfg.model_dim)), wm.stack.discretized()),
+        "wm_step": lambda: wm.wm_step(h, z, np.zeros((n, wm.cfg.action_dim)), wm.stack.discretized()),
+        "imagine": lambda: wm.imagine(LatentState(h=h, z=z), policy, 3, rng),
+        "act": lambda: lvl.ac.act(lvl._features(h, z, lvl.goal, np.zeros(n), np.ones(n), np.zeros(n)), rng),
+        "novelty": lambda: lvl.ae.novelty(h, rng),
+        # 8 env steps hold a terminal, level-1 and level-2 emissions
+        "acting": lambda: drive(agent, env, 8),
+        "acting_after_training": lambda: drive(agent, env, 8),
+    }
+    emitted = [level.action_emissions for level in agent.levels]
     built_tensors.clear()
-    assert drive(agent, env, 8) == 1
-    assert [lvl.action_emissions - e for lvl, e in zip(agent.levels, emitted)] == [8, 4, 2]
+    out = calls[case]()
     assert built_tensors == []
+    if case.startswith("acting"):
+        assert out == 1
+        assert [level.action_emissions - e for level, e in zip(agent.levels, emitted)] == [8, 4, 2]
+
+
+def _zero_start(wm) -> LatentState:
+    return LatentState(h=np.zeros((1, wm.h_width)), z=np.zeros((1, wm.cfg.n_cats, wm.cfg.n_classes)))
+
+
+# (message, call on a tiny level) for each structure that must not be empty
+EMPTY_STRUCTURES = {
+    "stack_without_blocks": ("at least one S5 block", lambda lvl: S5Stack(make_rng(0), 4, 4, 0)),
+    "mlp_without_output": ("at least input and output sizes", lambda lvl: MLP(make_rng(0), [4])),
+    "agent_without_levels": ("at least one level", lambda lvl: HierarchicalAgent([], 2, 0)),
+    "rollout_without_transition": (
+        "at least one imagined transition",
+        lambda lvl: reinforce_loss(lvl.ac, np.zeros((2, 1, lvl.ac.cfg.feat_width)), np.zeros((2, 0, 1, 2)), {}, np.ones((2, 1))),
+    ),
+    "imagine_without_horizon": ("horizon must be >= 1", lambda lvl: lvl.wm.imagine(_zero_start(lvl.wm), None, 0, make_rng(0))),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_STRUCTURES))
+def test_empty_structures_are_rejected(case):
+    _, agent = tiny_agent(0, depth=1, k=2)
+    match, call = EMPTY_STRUCTURES[case]
+    with pytest.raises(ValueError, match=match):
+        call(agent.levels[0])
 
 
 def test_imagination_starts_from_the_posterior(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from oracles import TimeBalancedBaseline, expected_draws, simulate_process, skew_pdf
-from sswm.replay import DomainError, EtbsSampler, ExperienceDataset, UniformSampler, etbs_cdf, etbs_indices
+from sswm.replay import INITIAL_ROWS, DomainError, EtbsSampler, ExperienceDataset, UniformSampler, etbs_cdf, etbs_indices
 from sswm.tensor import make_rng
 
 
@@ -143,7 +143,7 @@ def test_baseline_flattens_process_counts():
 
 
 def fill_dataset(n_episodes=4, ep_len=10, obs_dim=3, act_dim=2):
-    ds = ExperienceDataset(obs_dim, act_dim, capacity=8)
+    ds = ExperienceDataset(obs_dim, act_dim)
     step = 0
     for ep in range(n_episodes):
         for t in range(ep_len):
@@ -202,7 +202,7 @@ def test_uniform_sampler_draws_what_one_integer_per_row_drew(n):
     per_row = np.array([int(rng.integers(1, n + 1)) for _ in range(16)])
     np.testing.assert_array_equal(etbs_indices(n, UniformSampler().tau, make_rng(13), 16), per_row)
     if n <= 1000:
-        ds = ExperienceDataset(1, 1, capacity=n + 1)
+        ds = ExperienceDataset(1, 1)
         for _ in range(n + 1):
             ds.append(np.zeros(1), np.zeros(1), 0.0, 1.0, 0)
         batch = ds.sample_batch(make_rng(13), 16, 2, UniformSampler())
@@ -218,8 +218,8 @@ def test_sample_batch_deterministic():
 
 
 def test_dataset_growth_preserves_records():
-    ds = fill_dataset(n_episodes=8, ep_len=10)  # forces several _grow calls
-    assert len(ds) == 80
+    ds = fill_dataset(n_episodes=8, ep_len=10)  # from 16 rows: grows to 32, 64 and 128
+    assert len(ds) == 80 and len(ds.obs) == 8 * INITIAL_ROWS
     np.testing.assert_array_equal(ds.obs[79], np.full(3, 79.0))
     np.testing.assert_array_equal(np.flatnonzero(ds.reset[:80]), np.arange(0, 80, 10))
 

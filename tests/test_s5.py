@@ -39,9 +39,8 @@ def no_resets(t_len: int) -> np.ndarray:
 
 
 def scan_from_zero(params: s5.S5Params, u: Tensor, resets):
-    """scan_sequential from the zero start state, with the zero-order hold built in the call."""
-    zero = Tensor(np.zeros((u.shape[0], 2 * params.log_neg_re.shape[0])))
-    return s5.scan_sequential(params, u, 1.0 - resets, s5.discretize(params), zero)
+    """scan_sequential from the zero start state."""
+    return s5.scan_sequential(params, u, 1.0 - resets, np.zeros((u.shape[0], 2 * params.log_neg_re.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +339,7 @@ def test_scan_resumes_from_carried_state():
     resets[0, 8] = True  # inside the continuation
     x, y = scan_from_zero(params, Tensor(u), resets)
     xa, ya = scan_from_zero(params, Tensor(u[:, :5]), resets[:, :5])
-    xb, yb = s5.scan_sequential(
-        params, Tensor(u[:, 5:]), 1.0 - resets[:, 5:], s5.discretize(params), Tensor(xa.data[:, -1])
-    )
+    xb, yb = s5.scan_sequential(params, Tensor(u[:, 5:]), 1.0 - resets[:, 5:], xa.data[:, -1])
     np.testing.assert_allclose(np.concatenate([xa.data, xb.data], axis=1), x.data, atol=1e-12)
     np.testing.assert_allclose(np.concatenate([ya.data, yb.data], axis=1), y.data, atol=1e-12)
 
@@ -351,10 +348,10 @@ def test_reset_at_continuation_start_drops_carried_state():
     rng = make_rng(25)
     params = fresh_params(seed=11)
     u = rng.normal(size=(2, 6, 3))
-    x0 = Tensor(rng.normal(size=(2, 8)))  # P=4 interleaved (Re x, Im x) pairs
+    x0 = rng.normal(size=(2, 8))  # P=4 interleaved (Re x, Im x) pairs
     resets = np.zeros((2, 6), dtype=bool)
     resets[0, 0] = True
-    x, y = s5.scan_sequential(params, Tensor(u), 1.0 - resets, s5.discretize(params), x0)
+    x, y = s5.scan_sequential(params, Tensor(u), 1.0 - resets, x0)
     x_fresh, y_fresh = scan_from_zero(params, Tensor(u), np.zeros((2, 6), dtype=bool))
     np.testing.assert_array_equal(x.data[0], x_fresh.data[0])
     np.testing.assert_array_equal(y.data[0], y_fresh.data[0])
@@ -413,19 +410,24 @@ def make_stack(seed=0, width=4, p=4, n_blocks=2):
     return s5.S5Stack(make_rng(seed), width, p, n_blocks)
 
 
+def zero_h0(stack: s5.S5Stack, bsz: int) -> np.ndarray:
+    """The zero start state of every block, (B, n_blocks*2P)."""
+    return np.zeros((bsz, len(stack.ssms) * 2 * stack.state_dim))
+
+
 def test_stack_pure_residual():
     stack = make_stack(n_blocks=1)
     stack.ssms[0].c_mat.data[:] = 0.0  # layer norm still runs; output y is 0
     stack.ssms[0].d_vec.data[:] = 0.0
     u = make_rng(40).normal(size=(1, 6, 4))
-    m, _ = stack.forward(Tensor(u), no_resets(6))
+    m, _ = stack.forward(Tensor(u), no_resets(6), zero_h0(stack, 1))
     np.testing.assert_allclose(m.data, u, atol=1e-12)  # gelu(0) = 0, so m = u
 
 
 def test_stack_h_width():
     stack = make_stack(width=4, p=4, n_blocks=2)
     u = make_rng(41).normal(size=(1, 5, 4))
-    _, h = stack.forward(Tensor(u), no_resets(5))
+    _, h = stack.forward(Tensor(u), no_resets(5), zero_h0(stack, 1))
     assert h.shape == (1, 5, 2 * 2 * 4)  # n_blocks * 2P: each block's (Re x, Im x) pairs
 
 
@@ -436,9 +438,9 @@ def test_stack_step_matches_sequence():
     u = rng.normal(size=(2, t_len, 4))
     resets = np.zeros((2, t_len), dtype=bool)
     resets[0, 4] = True
-    m_seq, h_seq = stack.forward(Tensor(u), resets)
+    m_seq, h_seq = stack.forward(Tensor(u), resets, zero_h0(stack, 2))
     disc = stack.discretized()
-    h = np.zeros((2, len(stack.ssms) * 2 * stack.state_dim))  # the zero start state
+    h = zero_h0(stack, 2)
     for t in range(t_len):
         h = h * (1.0 - resets[:, t, None])  # a reset row steps from the zero start state
         m, h = stack.step(h, u[:, t], disc)
@@ -448,22 +450,36 @@ def test_stack_step_matches_sequence():
 
 @pytest.mark.parametrize("bsz", [1, 128])
 def test_stack_step_equals_run_at_one_step(bsz):
-    # the step is _run's arithmetic at T=1 with no graph: equal bit for bit
+    # the step is forward's arithmetic at T=1 with no graph: equal bit for bit
     # from the same non-zero carried state, each block resuming its own slice
     stack = s5.S5Stack(make_rng(13), 32, 16, 2)
     rng = make_rng(45)
     h_prev = rng.normal(size=(bsz, 2 * 2 * 16))
     u = rng.normal(size=(bsz, 32))
-    ctx = stack.discretized()
-    m, h = stack.step(h_prev, u, ctx)
-    m_run, h_run = stack._run(Tensor(u[:, None]), np.ones((bsz, 1)), ctx, Tensor(h_prev))
+    m, h = stack.step(h_prev, u, stack.discretized())
+    m_run, h_run = stack.forward(Tensor(u[:, None]), np.zeros((bsz, 1)), h_prev)
     assert isinstance(m, np.ndarray) and isinstance(h, np.ndarray)
     assert np.array_equal(m, m_run.data[:, 0]) and np.array_equal(h, h_run.data[:, 0])
 
 
+def test_stack_resumes_from_carried_state():
+    # a forward over a head, then over the tail from the head's last h, is one
+    # forward over the window; row 0 resets inside the tail
+    stack = make_stack(seed=14, width=4, p=4, n_blocks=2)
+    rng = make_rng(46)
+    u = rng.normal(size=(2, 12, 4))
+    resets = np.zeros((2, 12), dtype=bool)
+    resets[0, 8] = True
+    m, h = stack.forward(Tensor(u), resets, zero_h0(stack, 2))
+    ma, ha = stack.forward(Tensor(u[:, :5]), resets[:, :5], zero_h0(stack, 2))
+    mb, hb = stack.forward(Tensor(u[:, 5:]), resets[:, 5:], ha.data[:, -1])
+    np.testing.assert_allclose(np.concatenate([ma.data, mb.data], axis=1), m.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.concatenate([ha.data, hb.data], axis=1), h.data, rtol=0, atol=1e-12)
+
+
 def test_two_block_stack_gradients_match_finite_differences():
-    # block 1's states reach linear_recurrence's VJP through concat's split
-    # and tslice, so its gradients arrive as non-contiguous pieces
+    # block 1's states reach linear_recurrence's VJP through concat's split,
+    # so its gradients arrive as non-contiguous pieces
     stack = make_stack(seed=12, width=4, p=4, n_blocks=2)
     rng = make_rng(32)
     leaves = parameters(stack, "stack")
@@ -472,18 +488,9 @@ def test_two_block_stack_gradients_match_finite_differences():
     resets[0, 3] = resets[1, 0] = True
 
     def fn():
-        m, h = stack.forward(u, resets)
+        m, h = stack.forward(u, resets, zero_h0(stack, 2))
         return add(tsum(mul(m, m)), tsum(mul(h, h)))
 
     report = grad_check(fn, leaves, epsilon=1e-5)
     assert report.max_rel_err < 1e-5, report.per_leaf
 
-
-def test_stack_step_tensor_count(built_tensors):
-    # the online step is plain numpy: it builds no Tensor at all
-    stack = s5.S5Stack(make_rng(0), 32, 16, 2)
-    ctx = stack.discretized()
-    h, u = np.zeros((1, 2 * 2 * 16)), np.ones((1, 32))
-    built_tensors.clear()
-    stack.step(h, u, ctx)
-    assert built_tensors == []

@@ -99,6 +99,11 @@ def test_backward_twice_is_error():
         loss.backward()
 
 
+def test_backward_on_a_constant_is_error():
+    with pytest.raises(GraphError, match="does not require grad"):
+        T.tsum(Tensor([1.0, 2.0])).backward()
+
+
 def test_backward_linearity():
     # backward of a sum of two graphs == sum of separate backwards
     rng = make_rng(3)
@@ -117,10 +122,18 @@ def test_backward_linearity():
 SHAPE_ERRORS = {
     "matmul": lambda: T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2)))),
     "matmul_nd": lambda: T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 2)))),
+    "matmul_rank": lambda: T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))),
     "add": lambda: T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))),
     "mul": lambda: T.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,)))),
-    "linear_recurrence": lambda: T.linear_recurrence(
-        Tensor(np.zeros(4)), Tensor(np.zeros((2, 3))), np.ones((2, 3)), Tensor(np.zeros((2, 4)))
+    "linear_recurrence": lambda: T.linear_recurrence(Tensor(np.zeros(4)), Tensor(np.zeros((2, 3))), np.ones((2, 3)), np.zeros((2, 4))),
+    "linear_recurrence_lam": lambda: T.linear_recurrence(
+        Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 4))), np.ones((2, 3)), np.zeros((2, 4))
+    ),
+    "linear_recurrence_gates": lambda: T.linear_recurrence(
+        Tensor(np.zeros(4)), Tensor(np.zeros((2, 3, 4))), np.ones((2, 4)), np.zeros((2, 4))
+    ),
+    "linear_recurrence_x0": lambda: T.linear_recurrence(
+        Tensor(np.zeros(4)), Tensor(np.zeros((2, 3, 4))), np.ones((2, 3)), np.zeros((2, 3))
     ),
     "affine": lambda: T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4))),
     "layer_norm": lambda: T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(3)), 1e-6),
@@ -130,8 +143,9 @@ SHAPE_ERRORS = {
 
 @pytest.mark.parametrize("op", list(SHAPE_ERRORS))
 def test_shape_error_names_shapes(op):
-    # an "_nd" case raises under the name of the op it exercises
-    with pytest.raises(ShapeError, match=rf"^{op.removesuffix('_nd')}: .*\(2, 3"):
+    # a suffixed case ("_nd", "_rank", ...) raises under the name of the op it exercises
+    name = op if op in T.__all__ else op.rsplit("_", 1)[0]
+    with pytest.raises(ShapeError, match=rf"^{name}: .*\(2, 3"):
         SHAPE_ERRORS[op]()
 
 
@@ -274,22 +288,21 @@ def test_linear_recurrence_gradients():
         lam = Tensor(rng.uniform(-0.9, 0.9, size=6), requires_grad=True)  # (Re, Im) pairs
         drive = Tensor(rng.uniform(-1, 1, size=(2, 5, 6)), requires_grad=True)  # (Re, Im) pairs
         gates = (rng.random((2, 5)) > 0.3).astype(float)
-        leaves = {"lam": lam, "drive": drive}
-        x0 = Tensor(np.zeros((2, 6)))  # even seeds start from the zero start state
-        if seed % 2:  # odd seeds resume from a carried state, itself a leaf
-            x0 = leaves["x0"] = Tensor(rng.uniform(-1, 1, size=(2, 6)), requires_grad=True)
+        x0 = np.zeros((2, 6))  # even seeds start from the zero start state
+        if seed % 2:  # odd seeds resume from a carried state, a constant
+            x0 = rng.uniform(-1, 1, size=(2, 6))
 
         def fn():
             x = T.linear_recurrence(lam, drive, gates, x0)
             return T.tsum(T.mul(x, x))
 
-        report = grad_check(fn, leaves, epsilon=1e-5)
+        report = grad_check(fn, {"lam": lam, "drive": drive}, epsilon=1e-5)
         worst = max(worst, report.max_rel_err)
     assert worst < 1e-5, f"linear_recurrence rel err {worst}"
 
 
 def _recurrence_reference(lam, drive, gates, x0, g):
-    """States and (lam, drive, x0) adjoints of the gated recurrence, one step at a time, all on complex values.
+    """States and (lam, drive) adjoints of the gated recurrence, one step at a time, all on complex values.
 
     The adjoint accumulates lam's gradient inside the loop, step by step.
     """
@@ -309,7 +322,7 @@ def _recurrence_reference(lam, drive, gates, x0, g):
         x_prev = xs[:, t - 1] if t > 0 else x0.view(complex)
         glam += (gt[:, t] * np.conj(x_prev) * acc).sum(axis=0)
         acc = gt[:, t] * np.conj(lamc) * acc
-    return (a.view(np.float64) for a in (xs, glam, gd, acc))
+    return (a.view(np.float64) for a in (xs, glam, gd))
 
 
 def test_linear_recurrence_matches_per_step_reference():
@@ -318,19 +331,18 @@ def test_linear_recurrence_matches_per_step_reference():
     p = 4
     lam = Tensor((0.95 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=p))).view(np.float64), requires_grad=True)
     drive = Tensor(rng.normal(size=(3, 16, 2 * p)), requires_grad=True)
-    x0 = Tensor(rng.normal(size=(3, 2 * p)), requires_grad=True)
+    x0 = rng.normal(size=(3, 2 * p))
     gates = np.ones((3, 16))
     gates[0, 0] = gates[1, 7] = gates[2, 0] = gates[2, 11] = 0.0
     g = rng.normal(size=(3, 16, 2 * p))
     x = T.linear_recurrence(lam, drive, gates, x0)
     T.tsum(T.mul(x, Tensor(g))).backward()  # the VJP of x at g
 
-    xs, glam, gdrive, gx0 = _recurrence_reference(lam.data, drive.data, gates, x0.data, g)
+    xs, glam, gdrive = _recurrence_reference(lam.data, drive.data, gates, x0, g)
     np.testing.assert_array_equal(x.data, xs)
-    for name, got, want in (("lam", lam.grad, glam), ("drive", drive.grad, gdrive), ("x0", x0.grad, gx0)):
+    for name, got, want in (("lam", lam.grad, glam), ("drive", drive.grad, gdrive)):
         rel = np.abs(got - want).max() / np.abs(want).max()
         assert rel < 1e-13, f"{name} adjoint rel err {rel}"
-    np.testing.assert_array_equal(x0.grad[[0, 2]], 0.0)  # a reset at t=0 drops x0
 
 
 def test_complex_layout_converts_by_views():

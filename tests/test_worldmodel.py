@@ -435,18 +435,6 @@ def test_imagine_uniform_prior_entropy():
     np.testing.assert_allclose(traj["entropy"][:, 1:], want, atol=1e-9)
 
 
-def test_imagine_builds_no_tensor_beyond_its_step_context(built_tensors):
-    # the heads and steps run in numpy; the step context is constants, no graph
-    wm = make_wm(seed=34, n_blocks=2)
-    built_tensors.clear()
-    ctx = wm.stack.discretized()
-    assert all(not t.requires_grad and t._parents == () for pair in ctx for t in pair)
-    in_ctx = len(built_tensors)
-    built_tensors.clear()
-    wm.imagine(zero_state(wm, 3), zero_policy(wm.cfg), horizon=3, rng=make_rng(35))
-    assert len(built_tensors) == in_ctx
-
-
 def test_imagine_runs_no_observation_decoder():
     wm = make_wm(seed=42)
 
