@@ -164,11 +164,12 @@ def reinforce_loss(
 class Subactor:
     """One hierarchy level: world model + actor-critic + subgoal autoencoder, each holding its config."""
 
-    def __init__(self, rng: np.random.Generator, wm_cfg: WmConfig, sg_cfg: SubgoalConfig, ac_cfg: AcConfig, mix: Mapping[str, float]):
+    def __init__(self, rng: np.random.Generator, wm_cfg: WmConfig, sg_cfg: SubgoalConfig, ac_cfg: AcConfig, mix: Mapping[str, float], binary_obs):
         self.wm = WorldModel(rng, wm_cfg)
         self.ae = SubgoalAutoencoder(rng, sg_cfg)
         self.ac = ActorCritic(rng, ac_cfg, mix)
-        self.replay = ExperienceDataset(wm_cfg.obs_dim, wm_cfg.action_dim)
+        # binary_obs: the observation columns that hold only 0 and 1, which replay stores as bytes
+        self.replay = ExperienceDataset(wm_cfg.obs_dim, wm_cfg.action_dim, binary_obs)
         self.wm_opt = AdamW(parameters(self.wm, "wm"))
         self.ae_opt = AdamW(parameters(self.ae, "ae"))
         self.ac_opt = AdamW(parameters(self.ac, "ac"))
@@ -418,6 +419,12 @@ def build_agent(
     k-window of level i-1 latent states (h and flattened z) and acts in the
     level-(i-1) subgoal code space. Every level mixes its reward streams
     with MIX, except the top level, which has no incoming goal: TOP_MIX.
+
+    An upper level's observation columns j*w + h_width .. (j+1)*w - 1 for
+    j < k, with w = h_width + z_flat of the level below, are the one-hot z
+    of the window's j-th snapshot, so they hold only 0 and 1: that level's
+    replay stores them as bytes. Level 0's environment observations are
+    floats throughout.
     """
     wm_kwargs = dict(wm_kwargs or {})
     sg_kwargs = dict(sg_kwargs or {})
@@ -427,6 +434,7 @@ def build_agent(
     obs_dim = env_obs_dim
     action_dim = env_n_actions
     action_groups, action_classes = 1, env_n_actions
+    binary_obs = ()
     for i in range(depth):
         wm_cfg = WmConfig(obs_dim=obs_dim, action_dim=action_dim, **wm_kwargs)
         h_width = wm_cfg.h_width
@@ -438,9 +446,10 @@ def build_agent(
             action_classes=action_classes,
             **ac_kwargs,
         )
-        levels.append(Subactor(rng, wm_cfg, sg_cfg, ac_cfg, MIX if i < depth - 1 else TOP_MIX))
+        levels.append(Subactor(rng, wm_cfg, sg_cfg, ac_cfg, MIX if i < depth - 1 else TOP_MIX, binary_obs))
         # dimensions seen by the next level up
         obs_dim = k * (h_width + wm_cfg.z_flat)
+        binary_obs = np.arange(obs_dim).reshape(k, -1)[:, h_width:].ravel()
         action_groups, action_classes = sg_cfg.n_codes, sg_cfg.code_size
         action_dim = sg_cfg.flat
     return HierarchicalAgent(levels, k, rng_seed=seed)

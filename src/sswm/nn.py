@@ -26,6 +26,7 @@ from .tensor import Tensor, _affine, _gelu, affine, gelu, layer_norm
 LN_EPS = 1e-6  # LayerNorm's variance floor, flax.linen.LayerNorm's default
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, arXiv 1412.6980)
 CLIP_NORM = 100.0  # global gradient-norm bound, DreamerV3's actor-critic clip (arXiv 2301.04104)
+MAX_SKIPS_IN_A_ROW = 10  # non-finite steps in a row after which AdamW.step raises
 
 
 def parameters(module, prefix: str) -> dict[str, Tensor]:
@@ -131,7 +132,8 @@ class AdamW:
     ValueError naming it, before any state changes. A step whose gradient
     norm is not finite is skipped whole: parameters, moments and the step
     count t stay as they were, the grads are cleared, and the skip is counted
-    in `skipped`.
+    in `skipped`. The MAX_SKIPS_IN_A_ROW-th skip in a row raises
+    FloatingPointError; a finite step ends the run.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
@@ -139,6 +141,7 @@ class AdamW:
         self.lr = lr
         self.t = 0
         self.skipped = 0
+        self._skips_in_a_row = 0
         self._flat = np.concatenate([p.data for p in params.values()], axis=None)
         for p, view in zip(params.values(), self._views(self._flat)):
             p.data = view
@@ -171,7 +174,11 @@ class AdamW:
         norm = float(np.sqrt(g @ g))
         if not np.isfinite(norm):
             self.skipped += 1
+            self._skips_in_a_row += 1
+            if self._skips_in_a_row == MAX_SKIPS_IN_A_ROW:
+                raise FloatingPointError(f"AdamW.step: {self._skips_in_a_row} steps in a row had a non-finite gradient norm")
             return norm
+        self._skips_in_a_row = 0
         self.t += 1
         if norm > CLIP_NORM:
             g *= CLIP_NORM / (norm + 1e-12)

@@ -26,7 +26,7 @@ from sswm.agent import (
 )
 from sswm.envs import make_env
 from sswm.nn import MLP, parameters
-from sswm.replay import EtbsSampler
+from sswm.replay import EtbsSampler, ExperienceDataset
 from sswm.s5 import S5Stack
 from sswm.tensor import Tensor, add, make_rng, mul, neg, reshape, tmean
 from sswm.worldmodel import LatentState
@@ -109,9 +109,23 @@ def test_clock_replay_and_uplink_widths(depth, k, steps, seed):
         if i > 0:
             below = agent.levels[i - 1]
             width = k * (below.wm.h_width + below.wm.cfg.z_flat)
-            assert lvl.wm.cfg.obs_dim == lvl.replay.obs.shape[1] == width
+            assert lvl.wm.cfg.obs_dim == width
             assert len(lvl.replay) == steps // k**i
+            if len(lvl.replay):  # the logical width: replay stores the 0/1 columns apart
+                assert lvl.replay.sample_batch(make_rng(0), 1, 1, EtbsSampler(0.3))["obs"].shape == (1, 1, width)
     assert agent.levels[0].replay.n == steps + terminals
+
+
+def test_replay_record_bytes_per_level():
+    # bytes one stored record costs, summed over the stored columns: float64
+    # columns at 8 bytes a value, the 0/1 columns (actions, the uplink's
+    # one-hot z) at 1. All float64, they were 89 and 4,625.
+    agent = build_agent(0, 5, 4, depth=3, k=4)
+    per_record = []
+    for lvl in agent.levels:
+        columns = [getattr(lvl.replay, name) for name in ExperienceDataset.COLUMNS]
+        per_record.append(sum(c.itemsize * c[0].size for c in columns))
+    assert per_record == [61, 2385, 2385]
 
 
 @settings(max_examples=12, deadline=None)

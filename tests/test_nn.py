@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, MLP, AdamW, parameters
+from sswm.nn import ADAM_EPS, BETA1, BETA2, CLIP_NORM, MAX_SKIPS_IN_A_ROW, MLP, AdamW, parameters
 from sswm.s5 import S5Params, S5Stack, discretize
 from sswm.tensor import Tensor, make_rng
 
@@ -101,6 +101,27 @@ def test_adamw_skips_non_finite_gradient():
     params["b"].grad = rng.normal(size=4)
     opt.step()
     assert opt.t == t + 1 and opt.skipped == 1
+
+
+def test_adamw_raises_after_a_run_of_non_finite_steps():
+    rng = make_rng(51)
+    params = {"w": Tensor(rng.normal(size=(3, 4)), requires_grad=True)}
+    opt = AdamW(params, lr=1e-2)
+
+    def step(finite):
+        params["w"].grad = rng.normal(size=(3, 4)) if finite else np.full((3, 4), np.inf)
+        return opt.step()
+
+    for _ in range(MAX_SKIPS_IN_A_ROW - 1):
+        step(False)
+    step(True)  # a finite step ends the run
+    assert (opt.t, opt.skipped) == (1, MAX_SKIPS_IN_A_ROW - 1)
+    for _ in range(MAX_SKIPS_IN_A_ROW - 1):
+        step(False)
+    with pytest.raises(FloatingPointError, match=f"{MAX_SKIPS_IN_A_ROW} steps in a row had a non-finite gradient norm"):
+        step(False)
+    assert (opt.t, opt.skipped) == (1, 2 * MAX_SKIPS_IN_A_ROW - 1)
+    assert MAX_SKIPS_IN_A_ROW == 10
 
 
 def _per_parameter_step(data, m, v, grads, t, lr):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from oracles import TimeBalancedBaseline, expected_draws, simulate_process, skew_pdf
@@ -237,3 +239,65 @@ def test_append_rejects_a_row_of_another_shape(obs, action):
     assert len(ds) == 0
     ds.append(np.ones(3), np.zeros(4), 0.0, 1.0, 0)
     assert len(ds) == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, -0.0])  # -0.0 would read back as 0.0
+@pytest.mark.parametrize("column", ["obs", "action"])
+def test_append_rejects_a_value_other_than_0_or_1(column, bad):
+    # obs column 1 is declared 0/1; the action is always stored as bytes
+    ds = ExperienceDataset(3, 4, binary_obs=[1])
+    ds.append(np.array([0.5, 1.0, -2.0]), np.eye(4)[2], 0.0, 1.0, 0)
+    obs, action = np.array([0.5, 0.0, -2.0]), np.zeros(4)
+    (obs if column == "obs" else action)[1] = bad
+    with pytest.raises(ValueError, match=f"append: {column} column 1 holds {bad}, want 0 or 1"):
+        ds.append(obs, action, 0.0, 1.0, 1)
+    assert len(ds) == 1
+    batch = ds.sample_batch(make_rng(0), 1, 1, UniformSampler())
+    np.testing.assert_array_equal(batch["obs"][0, 0], [0.5, 1.0, -2.0])
+    np.testing.assert_array_equal(batch["action"][0, 0], np.eye(4)[2])
+    ds.append(np.array([0.5, 0.0, -2.0]), np.zeros(4), 0.0, 1.0, 1)
+    assert ds.reset[1]  # the rejected record did not take episode 1's start
+
+
+def test_binary_obs_outside_the_row_is_rejected():
+    for cols in ([3], [-1]):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            ExperienceDataset(3, 2, binary_obs=cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    obs_dim=st.integers(1, 6),
+    action_dim=st.integers(1, 4),
+    data=st.data(),
+    n=st.integers(1, 70),
+    length=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_byte_columns_sample_what_float64_storage_samples(obs_dim, action_dim, data, n, length, seed):
+    """A dataset that stores its 0/1 columns as bytes samples the float64 arrays, bit for bit."""
+    binary = data.draw(st.lists(st.integers(0, obs_dim - 1), unique=True), label="binary_obs")
+    rng = make_rng(seed)
+    episode = np.cumsum(rng.random(n) < 0.2)
+    starts = np.r_[True, episode[1:] != episode[:-1]]
+    obs = rng.normal(size=(n, obs_dim))
+    obs[:, binary] = rng.integers(0, 2, size=(n, len(binary)))
+    action = np.eye(action_dim)[rng.integers(action_dim, size=n)]
+    action[starts] = 0.0  # no action leads into an episode's first record
+    reward, cont = rng.normal(size=n), (rng.random(n) < 0.9).astype(np.float64)
+    bytes_ds, plain_ds = ExperienceDataset(obs_dim, action_dim, binary), ExperienceDataset(obs_dim, action_dim)
+    for i in range(n):
+        for ds in (bytes_ds, plain_ds):
+            ds.append(obs[i], action[i], reward[i], cont[i], int(episode[i]))
+    got = bytes_ds.sample_batch(make_rng(seed, stream=1), 8, length, EtbsSampler(0.3))
+    if n < length:
+        assert got is None
+        return
+    plain = plain_ds.sample_batch(make_rng(seed, stream=1), 8, length, EtbsSampler(0.3))
+    gather = got["start"][:, None] + np.arange(length)
+    want = {"obs": obs, "action": action, "reward": reward, "cont": cont, "reset": starts}
+    for key, column in want.items():
+        for batch in (got, plain):
+            assert batch[key].dtype == column.dtype, key
+            np.testing.assert_array_equal(batch[key].view(np.uint8), column[gather].view(np.uint8), err_msg=key)
+    np.testing.assert_array_equal(plain["start"], got["start"])
