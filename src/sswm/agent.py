@@ -1,9 +1,9 @@
 """Hierarchical agent: a stack of subactors on per-level world models.
 
 Level 0 consumes environment observations and emits environment actions.
-Level i>0 consumes k consecutive (h, z) latent states of the level below as
-its observation, and its action is a discrete subgoal for the level below,
-held constant for the next k lower-level steps. Every level owns a world
+Level i>0 observes k consecutive latent states of the level below, their k h
+rows then their k z rows, and its action is a discrete subgoal for the level
+below, held constant for the next k lower-level steps. Every level owns a world
 model, a subgoal autoencoder and an actor-critic with one value head per
 reward stream it mixes (extrinsic, subgoal, novelty); the streams are mixed
 as r = w_extr*r_extr + w_g*r_g + w_nov*r_nov when forming policy advantages,
@@ -164,12 +164,12 @@ def reinforce_loss(
 class Subactor:
     """One hierarchy level: world model + actor-critic + subgoal autoencoder, each holding its config."""
 
-    def __init__(self, rng: np.random.Generator, wm_cfg: WmConfig, sg_cfg: SubgoalConfig, ac_cfg: AcConfig, mix: Mapping[str, float], binary_obs):
+    def __init__(self, rng: np.random.Generator, wm_cfg: WmConfig, sg_cfg: SubgoalConfig, ac_cfg: AcConfig, mix: Mapping[str, float], n_binary: int):
         self.wm = WorldModel(rng, wm_cfg)
         self.ae = SubgoalAutoencoder(rng, sg_cfg)
         self.ac = ActorCritic(rng, ac_cfg, mix)
-        # binary_obs: the observation columns that hold only 0 and 1, which replay stores as bytes
-        self.replay = ExperienceDataset(wm_cfg.obs_dim, wm_cfg.action_dim, binary_obs)
+        # n_binary: the trailing observation columns, which hold only 0 and 1 and replay stores as bytes
+        self.replay = ExperienceDataset(wm_cfg.obs_dim, wm_cfg.action_dim, n_binary)
         self.wm_opt = AdamW(parameters(self.wm, "wm"))
         self.ae_opt = AdamW(parameters(self.ae, "ae"))
         self.ac_opt = AdamW(parameters(self.ac, "ac"))
@@ -181,6 +181,7 @@ class Subactor:
         self.goal = np.zeros(sg_cfg.flat)
         self._ctx = None
         self.action_emissions = 0
+        self.episodes = 0  # resets acted on: the replay episode id of the current record
 
     # -- interaction ----------------------------------------------------------
 
@@ -202,41 +203,36 @@ class Subactor:
         out[:, -1] = entropy
         return out
 
-    def advance(self, obs: np.ndarray, reward: float, cont: float, reset: bool, episode_id: int, rng) -> np.ndarray:
-        """Encode one observation, advance the latent state, record the step.
+    def step(self, obs: np.ndarray, reward: float, cont: float, reset: bool, rng, random_action: bool) -> np.ndarray:
+        """Record one observation, advance the latent state and act from it.
 
-        Returns the features for action selection at the new state. On reset
-        h, z and the previous action return to the all-zero start state
-        before stepping.
+        On reset h, z and the previous action return to the all-zero start
+        state before stepping, and the record begins a replay episode: its
+        episode id is the level's count of resets. The action one-hot matrix
+        (groups, classes) is drawn uniformly or from the policy, and is
+        remembered as a_prev.
         """
         if reset:
             self.h = np.zeros_like(self.h)
             self.z = np.zeros_like(self.z)
             self.a_prev = np.zeros_like(self.a_prev)
+        self.episodes += reset
         if self._ctx is None:
             self._ctx = self.wm.stack.discretized()
         z_t = dists.sample_one_hot(self.wm.encode_step(obs[None, :]), rng)
         h_t, prior_probs = self.wm.wm_step(self.h, self.z, self.a_prev, self._ctx)
-        entropy = dists.latent_entropy_np(prior_probs)
-        self.replay.append(obs, self.a_prev[0], reward, cont, episode_id)
+        self.replay.append(obs, self.a_prev[0], reward, cont, self.episodes)
         self.h = h_t
         self.z = z_t
-        return self._features(self.h, z_t, self.goal, np.array([reward]), np.array([cont]), entropy)
-
-    def choose_action(self, feats: np.ndarray, rng, random_action: bool) -> np.ndarray:
-        """Pick an action one-hot matrix, uniformly or from the policy, and remember it as a_prev."""
         g, k = self.ac.cfg.action_groups, self.ac.cfg.action_classes
         if random_action:
             onehot = dists.one_hot(rng.integers(k, size=(1, g)), k)
         else:
-            onehot = self.ac.act(feats, rng)
+            entropy = dists.latent_entropy_np(prior_probs)
+            onehot = self.ac.act(self._features(h_t, z_t, self.goal, np.array([reward]), np.array([cont]), entropy), rng)
         self.a_prev = onehot.reshape(1, -1)
         self.action_emissions += 1
         return onehot[0]
-
-    def latent_snapshot(self) -> np.ndarray:
-        """Flattened (h, z) of the current state, for uplink observations."""
-        return np.concatenate([self.h[0], self.z.reshape(-1)])
 
     # -- training --------------------------------------------------------------
 
@@ -249,7 +245,7 @@ class Subactor:
         total, wm_report, out = self.wm.loss(batch, rng)
         total.backward()
         report["wm_grad_norm"] = self.wm_opt.step()
-        self._ctx = None  # the next advance rebuilds the step context from the updated parameters
+        self._ctx = None  # the next step rebuilds the step context from the updated parameters
         report["wm"] = wm_report
 
         h_states = out["h"].data.reshape(-1, self.wm.h_width)
@@ -265,7 +261,7 @@ class Subactor:
         bsz, t_len = batch["reward"].shape
         n = bsz * t_len
         # Imagination starts where acting stands: the posterior z that the
-        # world-model loss drew, with the prior's entropy, as advance gives it.
+        # world-model loss drew, with the prior's entropy, as step gives it.
         z = wm_out["z"].data
         start = LatentState(h=wm_out["h"].data.reshape(n, self.wm.h_width), z=z.reshape(n, *z.shape[2:]))
         start_entropy = dists.latent_entropy_np(wm_out["prior_probs"].data)
@@ -297,7 +293,8 @@ class Subactor:
 class _Window:
     """Level i's records since level i+1 last stepped: what level i+1 observes next."""
 
-    states: list[np.ndarray] = field(default_factory=list)
+    hs: list[np.ndarray] = field(default_factory=list)
+    zs: list[np.ndarray] = field(default_factory=list)
     reward: float = 0.0
     cont: float = 1.0
     reset: bool = False
@@ -315,12 +312,14 @@ class HierarchicalAgent:
     n % k^i == 0, i.e. right after its window of k lower-level steps
     completes; its new subgoal then holds for the next k lower-level steps.
     Over T env steps level i therefore emits floor(T / k^i) actions,
-    regardless of episode boundaries. Windows may span episodes: level i's
-    record of a window resets its state exactly when one of the window's k
-    lower-level records began an episode. That is where level i's replay
-    sees a new episode id, so acting and training split episodes at the same
-    records. After a terminal on the last step of a window, the reset falls
-    on the next window's record. The top level's goal input stays all-zero.
+    regardless of episode boundaries. Episode boundaries come from the
+    reset each level acts on: level 0 resets where the driver says so, and
+    level i's record of a window resets exactly when one of the window's k
+    lower-level records reset. Each level's replay begins an episode at the
+    records where that level reset, so acting and training split episodes at
+    the same records, with or without a terminal before the restart. After a
+    terminal on the last step of a window, the reset falls on the next
+    window's record. The top level's goal input stays all-zero.
 
     Driver protocol per env step:
         a = agent.policy_step(obs, reward, cont, reset)
@@ -337,7 +336,6 @@ class HierarchicalAgent:
         self.depth = len(levels)
         self.rng = make_rng(rng_seed, stream=9)
         self.env_steps = 0
-        self._episode_id = 0
         self._random_phase = False
         # _windows[i] fills with level i's records; the top level feeds no window
         self._windows = [_Window() for _ in levels[1:]]
@@ -357,7 +355,7 @@ class HierarchicalAgent:
             self._emit(i)
 
     def record_terminal(self, obs: np.ndarray, reward: float) -> None:
-        """Append the terminal observation to level-0 replay and close the episode.
+        """Append the terminal observation to level-0 replay, in level 0's current episode.
 
         No action is taken from a terminal state, so the world model does not
         step: the next policy_step resets level 0. The terminal reward was
@@ -365,25 +363,25 @@ class HierarchicalAgent:
         does not tick.
         """
         lvl = self.levels[0]
-        lvl.replay.append(obs, lvl.a_prev[0], reward, 0.0, self._episode_id)
-        self._episode_id += 1
+        lvl.replay.append(obs, lvl.a_prev[0], reward, 0.0, lvl.episodes)
 
     def _step_level(self, i: int, obs: np.ndarray, reward: float, cont: float, reset: bool) -> np.ndarray:
-        """Advance level i, push its snapshot into the window above, choose its action."""
+        """Step level i and push its new (h, z) into the window above; returns its action."""
         lvl = self.levels[i]
-        feats = lvl.advance(obs, reward, cont, reset, self._episode_id, self.rng)
+        action = lvl.step(obs, reward, cont, reset, self.rng, self._random_phase)
         if i < self.depth - 1:
             above = self._windows[i]
-            above.states.append(lvl.latent_snapshot())
+            above.hs.append(lvl.h[0])
+            above.zs.append(lvl.z.reshape(-1))
             above.reset = above.reset or reset
-        return lvl.choose_action(feats, self.rng, self._random_phase)
+        return action
 
     def _emit(self, i: int) -> None:
         """Level i observes the completed window of level i-1 and emits a subgoal."""
         win = self._windows[i - 1]
         self._windows[i - 1] = _Window()
-        # k flattened snapshots side by side; encode rejects a window of any other width
-        goal = self._step_level(i, np.concatenate(win.states), win.reward, win.cont, win.reset)
+        # the window's k h rows, then its k flattened z rows; encode rejects a window of any other width
+        goal = self._step_level(i, np.concatenate(win.hs + win.zs), win.reward, win.cont, win.reset)
         self.levels[i - 1].goal = goal.reshape(-1)
         if i < self.depth - 1:
             self._windows[i].add(win.reward, win.cont)
@@ -416,15 +414,14 @@ def build_agent(
     """Construct a depth-level stack with consistent inter-level widths.
 
     Level 0 observes the environment and acts in it; level i>0 observes the
-    k-window of level i-1 latent states (h and flattened z) and acts in the
-    level-(i-1) subgoal code space. Every level mixes its reward streams
-    with MIX, except the top level, which has no incoming goal: TOP_MIX.
+    k-window of level i-1 latent states and acts in the level-(i-1) subgoal
+    code space. Every level mixes its reward streams with MIX, except the
+    top level, which has no incoming goal: TOP_MIX.
 
-    An upper level's observation columns j*w + h_width .. (j+1)*w - 1 for
-    j < k, with w = h_width + z_flat of the level below, are the one-hot z
-    of the window's j-th snapshot, so they hold only 0 and 1: that level's
-    replay stores them as bytes. Level 0's environment observations are
-    floats throughout.
+    An upper level's observation is the window's k h rows, then its k
+    flattened one-hot z rows. The last k * z_flat columns, with z_flat of
+    the level below, hold only 0 and 1, so that level's replay stores them
+    as bytes. Level 0's environment observations are floats throughout.
     """
     wm_kwargs = dict(wm_kwargs or {})
     sg_kwargs = dict(sg_kwargs or {})
@@ -434,7 +431,7 @@ def build_agent(
     obs_dim = env_obs_dim
     action_dim = env_n_actions
     action_groups, action_classes = 1, env_n_actions
-    binary_obs = ()
+    n_binary = 0
     for i in range(depth):
         wm_cfg = WmConfig(obs_dim=obs_dim, action_dim=action_dim, **wm_kwargs)
         h_width = wm_cfg.h_width
@@ -446,10 +443,10 @@ def build_agent(
             action_classes=action_classes,
             **ac_kwargs,
         )
-        levels.append(Subactor(rng, wm_cfg, sg_cfg, ac_cfg, MIX if i < depth - 1 else TOP_MIX, binary_obs))
+        levels.append(Subactor(rng, wm_cfg, sg_cfg, ac_cfg, MIX if i < depth - 1 else TOP_MIX, n_binary))
         # dimensions seen by the next level up
         obs_dim = k * (h_width + wm_cfg.z_flat)
-        binary_obs = np.arange(obs_dim).reshape(k, -1)[:, h_width:].ravel()
+        n_binary = k * wm_cfg.z_flat
         action_groups, action_classes = sg_cfg.n_codes, sg_cfg.code_size
         action_dim = sg_cfg.flat
     return HierarchicalAgent(levels, k, rng_seed=seed)

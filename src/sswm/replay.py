@@ -18,9 +18,10 @@ Indices are 1-based ages: index 1 is the oldest element.
 
 Storage: a column that holds only 0 and 1 is stored as one byte per value
 (bool). The action columns always are, since every action is a one-hot
-(zeros at an episode start); so are the observation columns a dataset
-declares in `binary_obs`. Every other column is float64. sample_batch
-returns float64 throughout, equal to what a float64 store would return.
+(zeros at an episode start); so is the trailing block of `n_binary`
+observation columns a dataset declares. Every other column is float64.
+sample_batch returns float64 throughout, equal to what a float64 store
+would return.
 """
 
 from __future__ import annotations
@@ -100,29 +101,24 @@ class ExperienceDataset:
     sampling reads a consistent snapshot of the current size.
 
     0/1 columns are stored as bytes. The action is one byte per value. The
-    observation columns listed in `binary_obs` are stored as bytes in
-    `obs_bits`, in column order, and the others as float64 in `obs`; with no
-    `binary_obs`, `obs` holds the whole observation. append raises
-    ValueError, before any state changes, if a byte column is given a value
-    other than 0.0 or 1.0; -0.0 is refused too, since it would come back as
-    0.0. sample_batch puts the columns back in place as float64, so it
-    returns the appended values bit for bit.
+    last `n_binary` observation columns are stored as bytes in `obs_bits`,
+    and the leading ones as float64 in `obs`; with no `n_binary`, `obs`
+    holds the whole observation. append raises ValueError, before any state
+    changes, if a byte column is given a value other than 0.0 or 1.0; -0.0
+    is refused too, since it would come back as 0.0. sample_batch joins the
+    two blocks back as float64, so it returns the appended values bit for
+    bit.
     """
 
     COLUMNS = ("obs", "obs_bits", "action", "reward", "cont", "reset")  # the stored arrays, one row per record
 
-    def __init__(self, obs_dim: int, action_dim: int, binary_obs=()):
-        binary_obs = np.asarray(binary_obs, dtype=np.int64)
-        if ((binary_obs < 0) | (binary_obs >= obs_dim)).any():
-            raise ValueError(f"binary_obs: columns outside [0, {obs_dim})")
-        is_bit = np.zeros(obs_dim, dtype=bool)
-        is_bit[binary_obs] = True
-        self._bit_cols = np.flatnonzero(is_bit)
-        self._float_cols = np.flatnonzero(~is_bit)
-        self._unstore = np.argsort(np.concatenate([self._float_cols, self._bit_cols]))
+    def __init__(self, obs_dim: int, action_dim: int, n_binary: int = 0):
+        if not 0 <= n_binary <= obs_dim:
+            raise ValueError(f"n_binary: {n_binary} outside [0, {obs_dim}]")
+        self.n_binary = n_binary
         self._row_shapes = ((obs_dim,), (action_dim,))
-        self.obs = np.zeros((INITIAL_ROWS, self._float_cols.size), dtype=np.float64)
-        self.obs_bits = np.zeros((INITIAL_ROWS, self._bit_cols.size), dtype=bool)
+        self.obs = np.zeros((INITIAL_ROWS, obs_dim - n_binary), dtype=np.float64)
+        self.obs_bits = np.zeros((INITIAL_ROWS, n_binary), dtype=bool)
         self.action = np.zeros((INITIAL_ROWS, action_dim), dtype=bool)
         self.reward = np.zeros(INITIAL_ROWS, dtype=np.float64)
         self.cont = np.zeros(INITIAL_ROWS, dtype=np.float64)
@@ -150,14 +146,14 @@ class ExperienceDataset:
                 f"want {self._row_shapes[0]} and {self._row_shapes[1]}"
             )
         action_bits = _bits(action, "action")
-        if self._bit_cols.size:
-            obs_bits = _bits(obs[self._bit_cols], "obs", self._bit_cols)
-            obs = obs[self._float_cols]
+        n_float = self.obs.shape[1]
+        if self.n_binary:  # level 0 has no byte columns: skip _bits on an empty slice
+            obs_bits = _bits(obs[n_float:], "obs", n_float)
         if self.n == self.obs.shape[0]:
             self._grow()
         i = self.n
-        self.obs[i] = obs
-        if self._bit_cols.size:
+        self.obs[i] = obs[:n_float]
+        if self.n_binary:
             self.obs_bits[i] = obs_bits
         self.action[i] = action_bits
         self.reward[i] = reward
@@ -181,12 +177,8 @@ class ExperienceDataset:
         n_valid = n - length + 1
         starts = etbs_indices(n_valid, sampler.tau, rng, batch) - 1
         gather = starts[:, None] + np.arange(length)[None, :]
-        # float columns then byte columns, each in order, taken back into place:
-        # a quarter of the time of two fancy-index assignments at width 512
-        stored = np.concatenate([self.obs[gather], self.obs_bits[gather]], axis=-1)
-        obs = stored.take(self._unstore, axis=-1)
         return {
-            "obs": obs,
+            "obs": np.concatenate([self.obs[gather], self.obs_bits[gather]], axis=-1),
             "action": self.action[gather].astype(np.float64),
             "reward": self.reward[gather],
             "cont": self.cont[gather],
@@ -195,12 +187,11 @@ class ExperienceDataset:
         }
 
 
-def _bits(values: np.ndarray, name: str, cols=None) -> np.ndarray:
-    """float64 values as bool, if they read back bit for bit; else ValueError naming the first column that does not."""
+def _bits(values: np.ndarray, name: str, offset: int = 0) -> np.ndarray:
+    """float64 values as bool, if they read back bit for bit; else ValueError naming the first column that does not, from offset."""
     bits = values.astype(bool)
     back = bits.astype(np.float64)
     if back.tobytes() != values.tobytes():  # one bytes compare: the cheapest exact test at these widths
         bad = int(np.flatnonzero((back != values) | np.signbit(values))[0])  # signbit: -0.0
-        col = bad if cols is None else int(cols[bad])
-        raise ValueError(f"append: {name} column {col} holds {float(values[bad])}, want 0 or 1")
+        raise ValueError(f"append: {name} column {offset + bad} holds {float(values[bad])}, want 0 or 1")
     return bits

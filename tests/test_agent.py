@@ -43,11 +43,17 @@ def tiny_agent(seed, depth, k):
     return env, build_agent(seed, env.obs_dim, env.n_actions, depth=depth, k=k, **TINY)
 
 
-def drive(agent, env, steps, after_step=None) -> int:
-    """Run the driver protocol for `steps` env steps; returns the terminal count."""
+def drive(agent, env, steps, after_step=None, restarts=()) -> int:
+    """Run the driver protocol for `steps` env steps; returns the terminal count.
+
+    The driver resets the environment at the start, after every terminal, and
+    before each step whose index is in `restarts`, with no terminal then.
+    """
     terminals = 0
     obs, reward, reset = env.reset(), 0.0, True
-    for _ in range(steps):
+    for t in range(steps):
+        if t in restarts:
+            obs, reward, reset = env.reset(), 0.0, True
         a = agent.policy_step(obs, reward, 1.0, reset)
         res = env.step(a)
         agent.observe_result(res.reward, res.done)
@@ -129,25 +135,73 @@ def test_replay_record_bytes_per_level():
 
 
 @settings(max_examples=12, deadline=None)
-@given(depth=st.integers(1, 3), k=st.integers(2, 4), steps=st.integers(0, 70), seed=st.integers(0, 2**16))
-@example(depth=2, k=2, steps=12, seed=0)  # episodes of 6 steps end on the last step of a window
-def test_window_resets_match_replay(depth, k, steps, seed):
+@given(
+    depth=st.integers(1, 3),
+    k=st.integers(2, 4),
+    steps=st.integers(0, 70),
+    seed=st.integers(0, 2**16),
+    restarts=st.sets(st.integers(1, 69), max_size=4),
+)
+@example(depth=2, k=2, steps=12, seed=0, restarts=set())  # episodes of 6 steps end on the last step of a window
+@example(depth=2, k=4, steps=12, seed=0, restarts={6})  # a restart with no terminal, mid-window
+def test_window_resets_match_replay(depth, k, steps, seed, restarts):
     """Acting resets each level's state at the records where its replay starts an episode."""
     env, agent = tiny_agent(seed, depth, k)
     passed = {id(lvl): [] for lvl in agent.levels}
-    advance = Subactor.advance
+    step = Subactor.step
 
-    def recording_advance(self, obs, reward, cont, reset, episode_id, rng):
+    def recording_step(self, obs, reward, cont, reset, rng, random_action):
         passed[id(self)].append((len(self.replay), reset))
-        return advance(self, obs, reward, cont, reset, episode_id, rng)
+        return step(self, obs, reward, cont, reset, rng, random_action)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(Subactor, "advance", recording_advance)
-        drive(agent, env, steps)
+        m.setattr(Subactor, "step", recording_step)
+        drive(agent, env, steps, restarts=restarts)
     for lvl in agent.levels:
         if passed[id(lvl)]:
             rows, resets = map(np.array, zip(*passed[id(lvl)]))
             np.testing.assert_array_equal(resets, lvl.replay.reset[rows])
+
+
+@pytest.mark.parametrize("depth, k", [(2, 4), (3, 2)])
+def test_restart_without_terminal_resets_replay(depth, k):
+    # a driver may restart an episode with no terminal before it: replay
+    # flags a reset at that record at level 0, and at each level whose
+    # window holds it
+    env, agent = tiny_agent(12, depth, k)
+    rng = make_rng(12, stream=4)
+    steps, restart = 4 * k ** (depth - 1), 6
+    for t in range(steps):
+        # observations from no environment, so no terminal comes
+        agent.policy_step(rng.normal(size=env.obs_dim), 0.0, 1.0, t in (0, restart))
+        agent.observe_result(0.0, False)
+    for i, lvl in enumerate(agent.levels):
+        want = np.zeros(steps // k**i, dtype=bool)
+        want[[0, restart // k**i]] = True
+        np.testing.assert_array_equal(lvl.replay.reset[: len(lvl.replay)], want)
+
+
+def test_uplink_rows_are_the_window_h_rows_then_z_rows():
+    env, agent = tiny_agent(13, depth=3, k=2)
+    k, seen = agent.k, {id(lvl): [] for lvl in agent.levels}
+    step = Subactor.step
+
+    def recording_step(self, *args):
+        action = step(self, *args)
+        seen[id(self)].append((self.h[0].copy(), self.z.reshape(-1).copy()))
+        return action
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Subactor, "step", recording_step)
+        drive(agent, env, 24)
+    for below, lvl in zip(agent.levels, agent.levels[1:]):
+        n = len(lvl.replay)
+        assert n == len(seen[id(below)]) // k > 0
+        rows = lvl.replay.sample_batch(make_rng(0), 1, n, EtbsSampler(0.3))["obs"][0]
+        hs, zs = (np.stack(block).reshape(n, -1) for block in zip(*seen[id(below)]))
+        np.testing.assert_array_equal(rows, np.concatenate([hs, zs], axis=1))
+        z_cols = rows[:, -k * below.wm.cfg.z_flat :]
+        assert lvl.replay.n_binary == z_cols.shape[1] and set(np.unique(z_cols)) == {0.0, 1.0}
 
 
 def test_random_phase_acts_without_any_policy(monkeypatch):
@@ -341,7 +395,7 @@ def test_step_context_follows_train_step():
 
     fresh, old = step_h(lvl.wm.stack.discretized()), step_h(stale)
     assert not np.array_equal(fresh, old)  # the update moved the step maps
-    lvl.advance(np.zeros(env.obs_dim), 0.0, 1.0, False, 0, make_rng(7, stream=3))
+    lvl.step(np.zeros(env.obs_dim), 0.0, 1.0, False, make_rng(7, stream=3), random_action=True)
     np.testing.assert_array_equal(lvl.h, fresh)
 
 

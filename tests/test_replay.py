@@ -244,25 +244,26 @@ def test_append_rejects_a_row_of_another_shape(obs, action):
 @pytest.mark.parametrize("bad", [0.5, -1.0, np.nan, -0.0])  # -0.0 would read back as 0.0
 @pytest.mark.parametrize("column", ["obs", "action"])
 def test_append_rejects_a_value_other_than_0_or_1(column, bad):
-    # obs column 1 is declared 0/1; the action is always stored as bytes
-    ds = ExperienceDataset(3, 4, binary_obs=[1])
-    ds.append(np.array([0.5, 1.0, -2.0]), np.eye(4)[2], 0.0, 1.0, 0)
-    obs, action = np.array([0.5, 0.0, -2.0]), np.zeros(4)
+    # obs columns 1 and 2 are declared 0/1, as the byte block's columns 0 and 1;
+    # the action is always stored as bytes
+    ds = ExperienceDataset(3, 4, n_binary=2)
+    ds.append(np.array([0.5, 1.0, 0.0]), np.eye(4)[2], 0.0, 1.0, 0)
+    obs, action = np.array([0.5, 0.0, 1.0]), np.zeros(4)
     (obs if column == "obs" else action)[1] = bad
     with pytest.raises(ValueError, match=f"append: {column} column 1 holds {bad}, want 0 or 1"):
         ds.append(obs, action, 0.0, 1.0, 1)
     assert len(ds) == 1
     batch = ds.sample_batch(make_rng(0), 1, 1, UniformSampler())
-    np.testing.assert_array_equal(batch["obs"][0, 0], [0.5, 1.0, -2.0])
+    np.testing.assert_array_equal(batch["obs"][0, 0], [0.5, 1.0, 0.0])
     np.testing.assert_array_equal(batch["action"][0, 0], np.eye(4)[2])
-    ds.append(np.array([0.5, 0.0, -2.0]), np.zeros(4), 0.0, 1.0, 1)
+    ds.append(np.array([0.5, 0.0, 1.0]), np.zeros(4), 0.0, 1.0, 1)
     assert ds.reset[1]  # the rejected record did not take episode 1's start
 
 
-def test_binary_obs_outside_the_row_is_rejected():
-    for cols in ([3], [-1]):
-        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-            ExperienceDataset(3, 2, binary_obs=cols)
+def test_n_binary_outside_the_row_is_rejected():
+    for n_binary in (4, -1):
+        with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+            ExperienceDataset(3, 2, n_binary=n_binary)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,16 +277,16 @@ def test_binary_obs_outside_the_row_is_rejected():
 )
 def test_byte_columns_sample_what_float64_storage_samples(obs_dim, action_dim, data, n, length, seed):
     """A dataset that stores its 0/1 columns as bytes samples the float64 arrays, bit for bit."""
-    binary = data.draw(st.lists(st.integers(0, obs_dim - 1), unique=True), label="binary_obs")
+    n_binary = data.draw(st.integers(0, obs_dim), label="n_binary")
     rng = make_rng(seed)
     episode = np.cumsum(rng.random(n) < 0.2)
     starts = np.r_[True, episode[1:] != episode[:-1]]
     obs = rng.normal(size=(n, obs_dim))
-    obs[:, binary] = rng.integers(0, 2, size=(n, len(binary)))
+    obs[:, obs_dim - n_binary :] = rng.integers(0, 2, size=(n, n_binary))
     action = np.eye(action_dim)[rng.integers(action_dim, size=n)]
     action[starts] = 0.0  # no action leads into an episode's first record
     reward, cont = rng.normal(size=n), (rng.random(n) < 0.9).astype(np.float64)
-    bytes_ds, plain_ds = ExperienceDataset(obs_dim, action_dim, binary), ExperienceDataset(obs_dim, action_dim)
+    bytes_ds, plain_ds = ExperienceDataset(obs_dim, action_dim, n_binary), ExperienceDataset(obs_dim, action_dim)
     for i in range(n):
         for ds in (bytes_ds, plain_ds):
             ds.append(obs[i], action[i], reward[i], cont[i], int(episode[i]))

@@ -230,21 +230,21 @@ def test_encode_step_equals_encode():
 # ---------------------------------------------------------------------------
 
 
-def test_advance_reset_ignores_history():
+def test_step_reset_ignores_history():
     # a reset returns a level to the zero start state before it steps, so two
-    # copies of one level with different histories step alike from it
+    # copies of one level with different histories step and act alike from it
     wm_kwargs = dict(n_cats=2, n_classes=4, model_dim=6, state_dim=4, mlp_units=8)
     copies = [build_agent(7, 5, 3, depth=1, k=2, wm_kwargs=wm_kwargs).levels[0] for _ in range(2)]
     for lvl, steps in zip(copies, (3, 5)):
         rng = make_rng(steps)
         for t in range(steps):
-            feats = lvl.advance(rng.normal(size=5), float(rng.normal()), 1.0, t == 0, 0, rng)
-            lvl.choose_action(feats, rng, random_action=True)
+            lvl.step(rng.normal(size=5), float(rng.normal()), 1.0, t == 0, rng, random_action=True)
     assert not np.array_equal(copies[0].h, copies[1].h)
     obs = make_rng(8).normal(size=5)
-    feats = [lvl.advance(obs, 0.0, 1.0, True, 1, make_rng(9)) for lvl in copies]
-    np.testing.assert_array_equal(feats[0], feats[1])
+    actions = [lvl.step(obs, 0.0, 1.0, True, make_rng(9), random_action=False) for lvl in copies]
+    np.testing.assert_array_equal(actions[0], actions[1])
     np.testing.assert_array_equal(copies[0].h, copies[1].h)
+    np.testing.assert_array_equal(copies[0].z, copies[1].z)
 
 
 def test_unrolled_steps_match_sequence_forward():
