@@ -106,9 +106,9 @@ class ActorCritic:
     def log_prob_entropy(self, feats: Tensor, actions: np.ndarray) -> tuple[Tensor, Tensor]:
         """Joint log-probability and entropy per row (summed over code groups)."""
         probs = softmax(reshape(self.policy(feats), (feats.shape[0], self.cfg.action_groups, self.cfg.action_classes)))
-        picked = tsum(mul(probs, Tensor(actions)), axis=-1)  # (N, G)
-        lp = tsum(log(picked), axis=-1)
-        ent = tsum(dists.entropy_categorical(probs), axis=-1)
+        picked = tsum(mul(probs, Tensor(actions)))  # (N, G)
+        lp = tsum(log(picked))
+        ent = tsum(dists.entropy_categorical(probs))
         return lp, ent
 
     def values(self, feats: Tensor) -> Tensor:
@@ -423,9 +423,6 @@ def build_agent(
     the level below, hold only 0 and 1, so that level's replay stores them
     as bytes. Level 0's environment observations are floats throughout.
     """
-    wm_kwargs = dict(wm_kwargs or {})
-    sg_kwargs = dict(sg_kwargs or {})
-    ac_kwargs = dict(ac_kwargs or {})
     rng = make_rng(seed, stream=1)
     levels = []
     obs_dim = env_obs_dim
@@ -433,15 +430,15 @@ def build_agent(
     action_groups, action_classes = 1, env_n_actions
     n_binary = 0
     for i in range(depth):
-        wm_cfg = WmConfig(obs_dim=obs_dim, action_dim=action_dim, **wm_kwargs)
+        wm_cfg = WmConfig(obs_dim=obs_dim, action_dim=action_dim, **(wm_kwargs or {}))
         h_width = wm_cfg.h_width
-        sg_cfg = SubgoalConfig(h_width=h_width, **sg_kwargs)
+        sg_cfg = SubgoalConfig(h_width=h_width, **(sg_kwargs or {}))
         feat_width = h_width + wm_cfg.z_flat + sg_cfg.flat + 3
         ac_cfg = AcConfig(
             feat_width=feat_width,
             action_groups=action_groups,
             action_classes=action_classes,
-            **ac_kwargs,
+            **(ac_kwargs or {}),
         )
         levels.append(Subactor(rng, wm_cfg, sg_cfg, ac_cfg, MIX if i < depth - 1 else TOP_MIX, n_binary))
         # dimensions seen by the next level up

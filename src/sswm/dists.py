@@ -78,12 +78,12 @@ def sample_straight_through(probs: Tensor, rng: np.random.Generator) -> Tensor:
 
 def kl_categorical(p: Tensor, q: Tensor) -> Tensor:
     """KL(p || q) over the trailing class axis; inputs are probability tensors."""
-    return tsum(mul(p, add(log(p), neg(log(q)))), axis=-1)
+    return tsum(mul(p, add(log(p), neg(log(q)))))
 
 
 def entropy_categorical(p: Tensor) -> Tensor:
     """Shannon entropy over the trailing class axis (nats)."""
-    return neg(tsum(mul(p, log(p)), axis=-1))
+    return neg(tsum(mul(p, log(p))))
 
 
 def latent_entropy_np(p: np.ndarray) -> np.ndarray:

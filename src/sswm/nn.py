@@ -119,13 +119,13 @@ class AdamW:
 
     Storage is flat. Construction copies the parameters into one contiguous
     float64 vector and rebinds each `p.data` to a reshaped view of it. The
-    first step allocates the state as four more flat vectors: the two
-    moments (viewed per name in `_m` and `_v`), the gathered gradient and one
-    scratch vector. The state is kept from step to step, because vectors of
-    this size come from fresh mmap'd pages that would fault in on every step;
-    it is allocated late, so an optimizer that never steps (an agent that
-    only acts) holds none. A step applies the update as whole-vector ufunc
-    calls in textbook Adam's per-element expression order, so only the norm's
+    first step allocates the state as four more flat vectors in the order of
+    `params`: the two moments, the gathered gradient and one scratch vector.
+    The state is kept from step to step, because vectors of this size come
+    from fresh mmap'd pages that would fault in on every step; it is
+    allocated late, so an optimizer that never steps (an agent that only
+    acts) holds none. A step applies the update as whole-vector ufunc calls
+    in textbook Adam's per-element expression order, so only the norm's
     summation order depends on the layout.
 
     Every parameter must have a grad at each step; a missing one raises
@@ -146,8 +146,6 @@ class AdamW:
         for p, view in zip(params.values(), self._views(self._flat)):
             p.data = view
         self._m_flat = self._v_flat = self._grad = self._scratch = None
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a flat vector, in the order of `params`."""
@@ -165,8 +163,6 @@ class AdamW:
             raise ValueError(f"AdamW.step: no gradient for {', '.join(missing)}")
         if self._grad is None:
             self._m_flat, self._v_flat, self._grad, self._scratch = np.zeros((4, self._flat.size))
-            self._m = dict(zip(self.params, self._views(self._m_flat)))
-            self._v = dict(zip(self.params, self._views(self._v_flat)))
         g, s = self._grad, self._scratch
         np.concatenate([p.grad for p in self.params.values()], axis=None, out=g)
         for p in self.params.values():

@@ -14,7 +14,9 @@ oracles, in tests/oracles.py.
 A replay sampler is an ETBS temperature: sample_batch draws all of a batch's
 starts in one etbs_indices call at sampler.tau.
 
-Indices are 1-based ages: index 1 is the oldest element.
+Indices are 1-based ages: index 1 is the oldest element. An argument outside
+the domain of a sampler expression (n < 3, x outside [2, n], tau outside
+[0, 1]) raises ValueError.
 
 Storage: a column that holds only 0 and 1 is stored as one byte per value
 (bool). The action columns always are, since every action is a one-hot
@@ -29,10 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of a sampler expression."""
-
-
 def _log_density_norm(n: float) -> float:
     """Integral of (ln n - ln x)/n over [2, n], times n (the pdf normalizer)."""
     return -2.0 * np.log(n) + n + 2.0 * np.log(2.0) - 2.0
@@ -41,10 +39,10 @@ def _log_density_norm(n: float) -> float:
 def etbs_cdf(x, n):
     """Closed-form CDF of the skew density on [2, n]; O(1) per evaluation."""
     if n < 3:
-        raise DomainError(f"etbs_cdf needs n >= 3, got {n}")
+        raise ValueError(f"etbs_cdf needs n >= 3, got {n}")
     x = np.asarray(x, dtype=np.float64)
     if (x < 2.0 - 1e-12).any() or (x > n + 1e-9).any():
-        raise DomainError(f"etbs_cdf argument outside [2, {n}]")
+        raise ValueError(f"etbs_cdf argument outside [2, {n}]")
     ln_n = np.log(float(n))
     num = x * (np.log(x) - ln_n - 1.0) + 2.0 * (ln_n - np.log(2.0) + 1.0)
     return np.clip(num / -_log_density_norm(n), 0.0, 1.0)
@@ -75,7 +73,7 @@ class EtbsSampler:
 
     def __init__(self, tau: float = 0.3):
         if not 0.0 <= tau <= 1.0:
-            raise DomainError(f"tau must be in [0, 1], got {tau}")
+            raise ValueError(f"tau must be in [0, 1], got {tau}")
         self.tau = tau
 
 

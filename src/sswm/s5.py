@@ -31,6 +31,9 @@ h_t of a world-model state. A block is pre-norm -> drive matmul -> scan ->
 readout matmul plus D feedthrough -> GELU -> residual add, eight graph nodes
 in training with no layout conversion between them. S5Stack holds its blocks
 as two per-block lists, the SSM parameters and the layer norms.
+
+A bad structure (a state width the init blocks do not divide, no block) and a
+singular zero-order hold (a continuous eigenvalue of zero) raise ValueError.
 """
 
 from __future__ import annotations
@@ -43,14 +46,6 @@ from .nn import LN_EPS, LayerNorm
 from .tensor import Tensor, _complex, _gelu, _layer_norm, _make, _real, add, concat, gelu, linear_recurrence, matmul, mul
 
 INIT_BLOCKS = 2  # HiPPO-N blocks per S5 layer at init (S5, Smith et al., arXiv 2208.04933)
-
-
-class ConfigError(ValueError):
-    """Invalid structural configuration (dimensions, block counts, ...)."""
-
-
-class DiscretizationError(ValueError):
-    """Zero-order hold is singular (a continuous eigenvalue is zero)."""
 
 
 def normal_hippo_dense(n: int) -> np.ndarray:
@@ -111,7 +106,7 @@ def hippo_n_init(
     each block; the timescale is log-uniform in [1e-3, 1e-1].
     """
     if state_dim % blocks != 0:
-        raise ConfigError(f"state_dim {state_dim} not divisible by init blocks {blocks}")
+        raise ValueError(f"state_dim {state_dim} not divisible by init blocks {blocks}")
     n = state_dim // blocks
     lam_block, v = normal_hippo_eigen(n)
 
@@ -141,7 +136,7 @@ def _zoh(params: S5Params) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     lam = params.lam_value()  # (P,) complex
     abs2 = lam.real * lam.real + lam.imag * lam.imag
     if abs2.min() < 1e-24:
-        raise DiscretizationError("continuous eigenvalue is zero; ZOH coefficient undefined")
+        raise ValueError("continuous eigenvalue is zero; ZOH coefficient undefined")
     delta = np.exp(params.log_delta.data)
     bar = np.exp(lam * delta)
     # (lam_bar - 1) / lam, taken as (lam_bar - 1) * conj(lam) / |lam|^2
@@ -209,7 +204,7 @@ class S5Stack:
 
     def __init__(self, rng, width: int, state_dim: int, n_blocks: int):
         if n_blocks < 1:
-            raise ConfigError("need at least one S5 block")
+            raise ValueError("need at least one S5 block")
         self.state_dim = state_dim
         self.ssms = [hippo_n_init(state_dim, INIT_BLOCKS, width, rng) for _ in range(n_blocks)]
         self.norms = [LayerNorm(width) for _ in range(n_blocks)]

@@ -67,7 +67,7 @@ class SubgoalAutoencoder:
         resid = add(self.decode(code), neg(h.detach()))
         recon_term = tmean(l2_norm(resid))
         scaled = mul(probs, Tensor(float(self.cfg.code_size)))
-        kl_term = tmean(tsum(tsum(mul(probs, log(scaled)), axis=-1), axis=-1))
+        kl_term = tmean(tsum(tsum(mul(probs, log(scaled)))))
         total = add(recon_term, mul(kl_term, Tensor(KL_BETA)))
         return total, {"recon": recon_term.item(), "kl": kl_term.item(), "total": total.item()}
 

@@ -2,10 +2,10 @@
 
 Everything downstream (state-space layers, world models, policies) is built on
 this fixed op set, each op in one form and called as a function (Tensor has
-no arithmetic operators): add, mul (both broadcasting), neg, log, gelu; tsum
-over every element or the trailing axis; tmean over every element; softmax
-and l2_norm over the trailing axis; matmul, (..., k) @ (k, m); affine,
-layer_norm, linear_recurrence; concat, tslice and reshape.
+no arithmetic operators): add, mul (both broadcasting), neg, log, gelu; tsum,
+softmax and l2_norm over the trailing axis; tmean over every element; matmul,
+(..., k) @ (k, m); affine, layer_norm, linear_recurrence; concat, tslice and
+reshape.
 
 Three layers are single graph nodes with analytic VJPs: affine, layer_norm
 and linear_recurrence. The one activation, gelu, is the tanh form of GELU
@@ -365,21 +365,10 @@ def softmax(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (_softmax_vjp(out, g),))
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    """Sum over every element, or over the trailing axis (-1, or ndim - 1) by `_row_sum`."""
-    x = a.data
-    if axis is None:
-        out = x.sum()
-    elif axis in (-1, x.ndim - 1):
-        out = _row_sum(x)[..., 0]
-    else:
-        raise ShapeError(f"tsum: axis {axis} of {a.shape} is not the trailing one")
-
-    def vjp(g):
-        gg = g if axis is None else g[..., None]
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return _make(out, (a,), vjp)
+def tsum(a: Tensor) -> Tensor:
+    """Sum over the trailing axis by `_row_sum`: (..., k) -> (...)."""
+    out = _row_sum(a.data)[..., 0]
+    return _make(out, (a,), lambda g: (np.broadcast_to(g[..., None], a.shape).copy(),))
 
 
 def tmean(a: Tensor) -> Tensor:

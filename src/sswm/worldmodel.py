@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dists
 from .nn import MLP, Linear, parameters
-from .s5 import ConfigError, S5Stack
+from .s5 import S5Stack
 from .tensor import (
     Tensor,
     add,
@@ -121,7 +121,7 @@ class WorldModel:
 
     def _check_width(self, obs) -> None:
         if obs.shape[-1] != self.cfg.obs_dim:
-            raise ConfigError(f"observation width {obs.shape[-1]} != configured {self.cfg.obs_dim}")
+            raise ValueError(f"observation width {obs.shape[-1]} != configured {self.cfg.obs_dim}")
 
     def _prior(self, m: Tensor) -> Tensor:
         """Unimixed prior probabilities p(z|m): (N, model_dim) -> (N, n_cats, n_classes)."""
@@ -155,7 +155,7 @@ class WorldModel:
         """
         bsz, t_len, _ = obs.shape
         if t_len < 2:
-            raise ConfigError("training windows must have length >= 2")
+            raise ValueError("training windows must have length >= 2")
         post_probs = self.encode(Tensor(obs.reshape(bsz * t_len, self.cfg.obs_dim)))
         z = reshape(dists.sample_straight_through(post_probs, rng), (bsz, t_len, self.cfg.n_cats, self.cfg.n_classes))
         u = self._seq_inputs(z, action, resets)
@@ -189,12 +189,12 @@ class WorldModel:
         reward_nll = mul(tmean(mul(r_err, r_err)), Tensor(0.5))
         continue_nll = tmean(dists.bernoulli_nll(out["cont_logit"], batch["cont"].reshape(-1)))
         o_err = add(out["obs_pred"], neg(Tensor(obs.reshape(bsz * t_len, -1))))
-        obs_nll = tmean(mul(tsum(mul(o_err, o_err), axis=-1), Tensor(0.5)))
+        obs_nll = tmean(mul(tsum(mul(o_err, o_err)), Tensor(0.5)))
         l_pred = add(add(reward_nll, continue_nll), obs_nll)
 
         post, prior = out["post_probs"], out["prior_probs"]
-        kl_dyn = tsum(dists.kl_categorical(post.detach(), prior), axis=-1)
-        kl_rep = tsum(dists.kl_categorical(post, prior.detach()), axis=-1)
+        kl_dyn = tsum(dists.kl_categorical(post.detach(), prior))
+        kl_rep = tsum(dists.kl_categorical(post, prior.detach()))
         l_dyn = tmean(dists.free_bits(kl_dyn, FREE_BITS))
         l_rep = tmean(dists.free_bits(kl_rep, FREE_BITS))
 
@@ -241,7 +241,7 @@ class WorldModel:
         no Tensor is built; the returned trajectory is plain numpy.
         """
         if horizon < 1:
-            raise ConfigError("imagination horizon must be >= 1")
+            raise ValueError("imagination horizon must be >= 1")
         bsz = start.h.shape[0]
         c = self.cfg
         ctx = self.stack.discretized()

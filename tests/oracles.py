@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
-from sswm.replay import DomainError, _log_density_norm, etbs_indices
+from sswm.replay import _log_density_norm, etbs_indices
 from sswm.tensor import Tensor, make_rng
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -97,7 +97,7 @@ def simulate_process(n: int, sampler_name: str, tau: float, reps: int, seed: int
                 idx = sampler.sample(t, rng)
                 counts[r, idx - 1] += 1
         return counts
-    raise DomainError(f"unknown sampler {sampler_name!r}")
+    raise ValueError(f"unknown sampler {sampler_name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The package's public surface: every tensor op and every definition has a caller, every script resolves,
 the benchmark finds every name it imports or traces and runs one operation of each listed workload,
-trailing-axis reductions, complex layout conversions and parameter lists have one form each, and the
-package loads nothing beyond the standard library and its declared runtime dependencies."""
+trailing-axis reductions, complex layout conversions, parameter lists and argument errors have one form
+each, and the package loads nothing beyond the standard library and its declared runtime dependencies."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -153,6 +154,28 @@ def test_parameters_are_listed_only_by_the_attribute_walk():
     )
     kept = [f"worldmodel.py:{fn.lineno}" for fn in world_model.body if isinstance(fn, ast.FunctionDef) and fn.name == "params"]
     assert len(kept) == 1 and sites == kept, f"params methods besides WorldModel.params: {sites}"
+
+
+def _exception_classes() -> list[str]:
+    """`module.Class` of each class in src/sswm/ that derives from a built-in exception, directly or through another."""
+    bases = {
+        f"{path.stem}.{node.name}": {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    names = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found: set[str] = set()
+    while more := {cls for cls, base_names in bases.items() if base_names & names} - found:
+        found |= more
+        names |= {cls.rsplit(".", 1)[1] for cls in more}
+    return sorted(found)
+
+
+def test_only_the_engine_defines_exception_classes():
+    # a bad argument raises ValueError with a message that names it; only the
+    # autodiff engine's two errors, part of ENGINE_API, are classes of their own
+    assert _exception_classes() == ["tensor.GraphError", "tensor.ShapeError"]
 
 
 def test_project_scripts_resolve_to_callables():

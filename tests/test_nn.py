@@ -48,6 +48,17 @@ def test_infer_equals_graph_forward(n):
     assert np.array_equal(out, mlp(Tensor(x)).data)
 
 
+def _moments(opt):
+    """The optimizer's two moments by parameter name: views of its flat buffers."""
+    return (dict(zip(opt.params, opt._views(flat))) for flat in (opt._m_flat, opt._v_flat))
+
+
+def _state(opt):
+    """Copies of each parameter and its two moments, in the order of `params`."""
+    opt_m, opt_v = _moments(opt)
+    return [a.copy() for k, p in opt.params.items() for a in (p.data, opt_m[k], opt_v[k])]
+
+
 def test_adamw_matches_bias_corrected_adam_with_clipping():
     rng, lr = make_rng(51), 1e-2
     start = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
@@ -69,9 +80,10 @@ def test_adamw_matches_bias_corrected_adam_with_clipping():
             params[k].grad = g.copy()
         assert opt.step() == pytest.approx(norm, rel=1e-14)
         assert opt.t == t and all(p.grad is None for p in params.values())
+        opt_m, opt_v = _moments(opt)
         for k in start:
-            np.testing.assert_allclose(opt._m[k], m[k], rtol=1e-13)
-            np.testing.assert_allclose(opt._v[k], v[k], rtol=1e-13)
+            np.testing.assert_allclose(opt_m[k], m[k], rtol=1e-13)
+            np.testing.assert_allclose(opt_v[k], v[k], rtol=1e-13)
             np.testing.assert_allclose(params[k].data, want[k], rtol=1e-13, atol=1e-15)
 
 
@@ -82,18 +94,14 @@ def test_adamw_skips_non_finite_gradient():
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
     opt.step()  # one finite step, so the moments are nonzero
-
-    def state():
-        return [a.copy() for k in params for a in (params[k].data, opt._m[k], opt._v[k])]
-
-    before, t = state(), opt.t
+    before, t = _state(opt), opt.t
     params["w"].grad = rng.normal(size=(3, 4))
     params["w"].grad[1, 2] = np.nan
     params["b"].grad = rng.normal(size=4)
     norm = opt.step()
     assert np.isnan(norm)
     assert opt.skipped == 1 and opt.t == t
-    for a, b in zip(state(), before):
+    for a, b in zip(_state(opt), before):
         np.testing.assert_array_equal(a, b)
     assert all(p.grad is None for p in params.values())
 
@@ -158,8 +166,9 @@ def test_adamw_flat_update_equals_per_parameter_loop():
         norm = _per_parameter_step(data, m, v, grads, t, lr)
         assert (norm > CLIP_NORM) == clipped
         assert opt.step() == pytest.approx(norm, rel=1e-15)
+        opt_m, opt_v = _moments(opt)
         for k in shapes:
-            for got, want in ((params[k].data, data[k]), (opt._m[k], m[k]), (opt._v[k], v[k])):
+            for got, want in ((params[k].data, data[k]), (opt_m[k], m[k]), (opt_v[k], v[k])):
                 if clipped:
                     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
                     want[...] = got  # carry on from the same state
@@ -173,7 +182,7 @@ def test_adamw_parameters_and_moments_are_views_of_flat_buffers():
     opt = AdamW(params)
     assert all(np.shares_memory(p.data, opt._flat) for p in params.values())
     # an optimizer that never steps holds no state
-    assert opt._m_flat is None and opt._grad is None and not opt._m and not opt._v
+    assert opt._m_flat is None and opt._v_flat is None and opt._grad is None
 
     # a step is seen through the model: discretize reads the updated b_mat
     ssm = stack.ssms[0]
@@ -184,7 +193,6 @@ def test_adamw_parameters_and_moments_are_views_of_flat_buffers():
     opt.step()
     for k, p in params.items():
         assert np.shares_memory(p.data, opt._flat), k
-        assert np.shares_memory(opt._m[k], opt._m_flat) and np.shares_memory(opt._v[k], opt._v_flat), k
     after = discretize(ssm)[1].data
     fresh = S5Params(**{f.name: Tensor(getattr(ssm, f.name).data.copy()) for f in dataclasses.fields(ssm)})
     np.testing.assert_array_equal(after, discretize(fresh)[1].data)
@@ -198,13 +206,13 @@ def test_adamw_missing_gradient_raises_before_any_change():
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
     opt.step()  # one step, so the moments are nonzero
-    before = [a.copy() for k in params for a in (params[k].data, opt._m[k], opt._v[k])]
+    before = _state(opt)
     w_grad = rng.normal(size=(3, 4))
     params["w"].grad, w_values = w_grad, w_grad.copy()
     with pytest.raises(ValueError, match=r"no gradient for b$"):
         opt.step()
     assert opt.t == 1 and opt.skipped == 0
-    for a, b in zip((a for k in params for a in (params[k].data, opt._m[k], opt._v[k])), before):
+    for a, b in zip(_state(opt), before):
         np.testing.assert_array_equal(a, b)
     assert params["w"].grad is w_grad and params["b"].grad is None
     np.testing.assert_array_equal(w_grad, w_values)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from oracles import TimeBalancedBaseline, expected_draws, simulate_process, skew_pdf
-from sswm.replay import INITIAL_ROWS, DomainError, EtbsSampler, ExperienceDataset, UniformSampler, etbs_cdf, etbs_indices
+from sswm.replay import INITIAL_ROWS, EtbsSampler, ExperienceDataset, UniformSampler, etbs_cdf, etbs_indices
 from sswm.tensor import make_rng
 
 
@@ -61,11 +61,11 @@ def test_cdf_strictly_monotone():
 
 
 def test_cdf_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"argument outside \[2, 100\]"):
         etbs_cdf(1.0, 100)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"argument outside \[2, 100\]"):
         etbs_cdf(101.0, 100)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="needs n >= 3, got 2"):
         etbs_cdf(2.0, 2)
 
 
@@ -103,7 +103,7 @@ def test_small_n_falls_back_to_uniform():
 
 
 def test_etbs_sampler_validates_tau():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"tau must be in \[0, 1\], got 1.5"):
         EtbsSampler(1.5)
 
 

@@ -7,7 +7,7 @@ from oracles import grad_check
 from sswm import s5
 from sswm import tensor as T
 from sswm.nn import parameters
-from sswm.tensor import Tensor, add, make_rng, mul, tsum
+from sswm.tensor import Tensor, add, make_rng, mul, tmean, tsum
 
 
 def dense_normal_hippo_oracle(n: int) -> np.ndarray:
@@ -80,7 +80,7 @@ def test_hippo_block_structure_repeats_spectrum():
 
 
 def test_hippo_rejects_indivisible_blocks():
-    with pytest.raises(s5.ConfigError, match="divisible"):
+    with pytest.raises(ValueError, match="divisible"):
         s5.hippo_n_init(6, 4, 3, make_rng(0))
 
 
@@ -154,7 +154,7 @@ def test_discretize_zero_eigenvalue_error():
     params = fresh_params()
     params.log_neg_re.data[:] = -200.0  # re -> -exp(-200) ~ 0
     params.im.data[:] = 0.0
-    with pytest.raises(s5.DiscretizationError):
+    with pytest.raises(ValueError, match="eigenvalue is zero"):
         s5.discretize(params)
 
 
@@ -185,7 +185,7 @@ def test_zoh_gradients_match_finite_differences():
 
         def fn():
             lam_bar, b_real = s5.discretize(params)
-            return add(tsum(mul(add(lam_bar, minus_one), w_lam)), tsum(mul(b_real, w_b)))
+            return add(tsum(mul(add(lam_bar, minus_one), w_lam)), tsum(T.reshape(mul(b_real, w_b), (-1,))))
 
         leaves = {k: getattr(params, k) for k in ("log_neg_re", "im", "log_delta", "b_mat")}
         worst = max(worst, grad_check(fn, leaves, epsilon=1e-4).max_rel_err)
@@ -232,7 +232,7 @@ def zoh_pair_reference(params: s5.S5Params, b_pair: Tensor) -> tuple[Tensor, Ten
     lam_bar = _complex_exp(mul(lam, delta))
     num = T.add(lam_bar, Tensor(np.tile([-1.0, 0.0], (p, 1))))
     conj_lam = mul(lam, Tensor(np.tile([1.0, -1.0], (p, 1))))
-    inv_abs2 = _exp(T.neg(T.log(T.reshape(tsum(mul(lam, lam), axis=-1), (p, 1)))))
+    inv_abs2 = _exp(T.neg(T.log(T.reshape(tsum(mul(lam, lam)), (p, 1)))))
     coef = _complex_mul(num, mul(conj_lam, inv_abs2))
     return lam_bar, _complex_mul(T.reshape(coef, (p, 1, 2)), b_pair)
 
@@ -247,14 +247,14 @@ def test_zoh_matches_composed_pair_reference():
         b_pair = Tensor(_pair(unpack(params.b_mat.data).T), requires_grad=True)
 
         lam_bar, b_real = s5.discretize(params)
-        add(tsum(mul(lam_bar, Tensor(w_lam))), tsum(mul(b_real, Tensor(w_b)))).backward()
+        add(tmean(mul(lam_bar, Tensor(w_lam))), tmean(mul(b_real, Tensor(w_b)))).backward()
         grads = [leaf.grad for leaf in rate] + [params.b_mat.grad]
         for leaf in rate:
             leaf.grad = None
 
         ref_lam_bar, b_bar = zoh_pair_reference(params, b_pair)
         w_lam_pair, w_b_pair = _pair(unpack(w_lam)), _pair(unpack(w_b).T)
-        add(tsum(mul(ref_lam_bar, Tensor(w_lam_pair))), tsum(mul(b_bar, Tensor(w_b_pair)))).backward()
+        add(tmean(mul(ref_lam_bar, Tensor(w_lam_pair))), tmean(mul(b_bar, Tensor(w_b_pair)))).backward()
         ref_grads = [leaf.grad for leaf in rate] + [T._real(_cview(b_pair.grad).T)]
 
         np.testing.assert_allclose(lam_bar.data, T._real(_cview(ref_lam_bar.data)), rtol=0, atol=1e-15)
@@ -393,7 +393,7 @@ def test_scan_gradients_match_finite_differences():
 
     def fn():
         x, y = scan_from_zero(params, u, resets)
-        return add(tsum(mul(y, y)), tsum(mul(x, x)))
+        return add(tmean(mul(y, y)), tmean(mul(x, x)))
 
     leaves = parameters(params, "s5")
     leaves["u"] = u
@@ -489,7 +489,7 @@ def test_two_block_stack_gradients_match_finite_differences():
 
     def fn():
         m, h = stack.forward(u, resets, zero_h0(stack, 2))
-        return add(tsum(mul(m, m)), tsum(mul(h, h)))
+        return add(tmean(mul(m, m)), tmean(mul(h, h)))
 
     report = grad_check(fn, leaves, epsilon=1e-5)
     assert report.max_rel_err < 1e-5, report.per_leaf

@@ -64,9 +64,7 @@ def test_row_sum_and_max_match_numpy_reductions():
 
 def test_trailing_tsum_and_tmean_take_the_row_sum():
     for x in _row_inputs():
-        np.testing.assert_array_equal(T.tsum(Tensor(x), axis=-1).data, T._row_sum(x)[..., 0])
-        if x.ndim == 2:  # the trailing axis written as 1
-            np.testing.assert_array_equal(T.tsum(Tensor(x), axis=1).data, T._row_sum(x)[..., 0])
+        np.testing.assert_array_equal(T.tsum(Tensor(x)).data, T._row_sum(x)[..., 0])
 
 
 def test_softmax_normalized_and_positive():
@@ -137,7 +135,6 @@ SHAPE_ERRORS = {
     ),
     "affine": lambda: T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4))),
     "layer_norm": lambda: T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(3)), 1e-6),
-    "tsum": lambda: T.tsum(Tensor(np.zeros((2, 3))), axis=0),  # only all elements or the trailing axis
 }
 
 
@@ -236,25 +233,25 @@ def test_gelu_is_finite_and_silent_on_every_finite_input():
 BERNOULLI_TARGET = np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.3, 1.0], [0.0, 0.0, 1.0, 0.7]])
 
 OP_CASES = {
-    "matmul": lambda a, b: T.tsum(T.gelu(T.matmul(a, T.reshape(b, (4, 3))))),
-    "matmul_nd": lambda a, b: T.tsum(T.gelu(T.matmul(T.reshape(a, (3, 2, 2)), T.reshape(b, (2, 6))))),
-    "add": lambda a, b: T.tsum(T.mul(T.add(a, b), T.add(a, b))),
-    "mul": lambda a, b: T.tsum(T.mul(a, b)),
-    "neg": lambda a, b: T.tsum(T.neg(T.mul(a, b))),
-    "log": lambda a, b: T.tsum(T.log(T.add(T.mul(a, a), T.add(T.mul(b, b), Tensor(0.5))))),
-    "gelu": lambda a, b: T.tsum(T.gelu(T.mul(a, b))),
-    "softmax": lambda a, b: T.tsum(T.mul(T.softmax(T.mul(a, b)), a)),
-    "sum": lambda a, b: T.tsum(T.gelu(T.mul(T.tsum(T.mul(a, b), axis=1), Tensor(0.1)))),
+    "matmul": lambda a, b: T.tmean(T.gelu(T.matmul(a, T.reshape(b, (4, 3))))),
+    "matmul_nd": lambda a, b: T.tmean(T.gelu(T.matmul(T.reshape(a, (3, 2, 2)), T.reshape(b, (2, 6))))),
+    "add": lambda a, b: T.tmean(T.mul(T.add(a, b), T.add(a, b))),
+    "mul": lambda a, b: T.tmean(T.mul(a, b)),
+    "neg": lambda a, b: T.tmean(T.neg(T.mul(a, b))),
+    "log": lambda a, b: T.tmean(T.log(T.add(T.mul(a, a), T.add(T.mul(b, b), Tensor(0.5))))),
+    "gelu": lambda a, b: T.tmean(T.gelu(T.mul(a, b))),
+    "softmax": lambda a, b: T.tmean(T.mul(T.softmax(T.mul(a, b)), a)),
+    "sum": lambda a, b: T.tmean(T.gelu(T.mul(T.tsum(T.mul(a, b)), Tensor(0.1)))),
     "mean": lambda a, b: T.tmean(T.mul(T.mul(a, b), a)),
-    "concat": lambda a, b: T.tsum(T.mul(T.concat([a, b], axis=1), T.concat([b, a], axis=1))),
-    "slice": lambda a, b: T.tsum(T.mul(T.tslice(a, (slice(1, 3), slice(None))), T.tslice(b, (slice(0, 2), slice(None))))),
-    "affine": lambda a, b: T.tsum(T.gelu(T.affine(a, T.reshape(b, (4, 3)), T.tslice(a, (1, slice(0, 3)))))),
-    "layer_norm": lambda a, b: T.tsum(
+    "concat": lambda a, b: T.tmean(T.mul(T.concat([a, b], axis=1), T.concat([b, a], axis=1))),
+    "slice": lambda a, b: T.tmean(T.mul(T.tslice(a, (slice(1, 3), slice(None))), T.tslice(b, (slice(0, 2), slice(None))))),
+    "affine": lambda a, b: T.tmean(T.gelu(T.affine(a, T.reshape(b, (4, 3)), T.tslice(a, (1, slice(0, 3)))))),
+    "layer_norm": lambda a, b: T.tmean(
         T.mul(T.layer_norm(a, T.tslice(b, (0, slice(None))), T.tslice(b, (1, slice(None))), 1e-6), b)
     ),
     "l2_norm": lambda a, b: T.tsum(T.mul(T.l2_norm(T.add(T.mul(a, b), Tensor(0.1))), Tensor([1.0, -2.0, 0.5]))),
-    "bernoulli_nll": lambda a, b: T.tsum(dists.bernoulli_nll(T.mul(a, b), BERNOULLI_TARGET)),
-    "reshape": lambda a, b: T.tsum(T.mul(T.reshape(a, (4, 3)), T.reshape(b, (4, 3)))),
+    "bernoulli_nll": lambda a, b: T.tmean(dists.bernoulli_nll(T.mul(a, b), BERNOULLI_TARGET)),
+    "reshape": lambda a, b: T.tmean(T.mul(T.reshape(a, (4, 3)), T.reshape(b, (4, 3)))),
 }
 
 
@@ -294,7 +291,7 @@ def test_linear_recurrence_gradients():
 
         def fn():
             x = T.linear_recurrence(lam, drive, gates, x0)
-            return T.tsum(T.mul(x, x))
+            return T.tmean(T.mul(x, x))
 
         report = grad_check(fn, {"lam": lam, "drive": drive}, epsilon=1e-5)
         worst = max(worst, report.max_rel_err)
@@ -336,7 +333,7 @@ def test_linear_recurrence_matches_per_step_reference():
     gates[0, 0] = gates[1, 7] = gates[2, 0] = gates[2, 11] = 0.0
     g = rng.normal(size=(3, 16, 2 * p))
     x = T.linear_recurrence(lam, drive, gates, x0)
-    T.tsum(T.mul(x, Tensor(g))).backward()  # the VJP of x at g
+    T.tsum(T.reshape(T.mul(x, Tensor(g)), (-1,))).backward()  # the VJP of x at g
 
     xs, glam, gdrive = _recurrence_reference(lam.data, drive.data, gates, x0, g)
     np.testing.assert_array_equal(x.data, xs)
@@ -379,7 +376,7 @@ def _value_and_grads(fn, leaves, weight):
     for leaf in leaves:
         leaf.grad = None
     out = fn(*leaves)
-    T.tsum(T.mul(out, Tensor(weight))).backward()
+    T.tmean(T.mul(out, Tensor(weight))).backward()
     return out.data, [leaf.grad for leaf in leaves]
 
 
@@ -430,7 +427,7 @@ def test_grad_check_perturbs_non_contiguous_leaves():
     data = make_rng(43).normal(size=(3, 4))
     for order in ("C", "F"):
         x = Tensor(np.asarray(data, order=order), requires_grad=True)
-        report = grad_check(lambda: T.tsum(T.mul(x, x)), {"x": x}, epsilon=1e-5)
+        report = grad_check(lambda: T.tmean(T.mul(x, x)), {"x": x}, epsilon=1e-5)
         assert report.max_rel_err < 1e-8, order
         np.testing.assert_array_equal(x.data, data)
 
@@ -444,7 +441,7 @@ def test_two_layer_net_gradients():
 
     def fn():
         h = T.gelu(T.matmul(x, w1))
-        return T.tsum(T.matmul(h, w2))
+        return T.tmean(T.matmul(h, w2))
 
     report = grad_check(fn, {"w1": w1, "w2": w2}, epsilon=1e-5)
     assert report.max_rel_err < 1e-6
